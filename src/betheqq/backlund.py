@@ -27,12 +27,9 @@ from .qqcore import (
     _complete_color,
     build_lambdas,
     check_nondegenerate,
-    qq_residual,
-    qq_residual_scale,
-    qq_rhs,
+    equation_holds,
 )
 from .rootsys import WeylWord, is_reduced, reflect_twist
-from .scalars import ExactField, NumericField
 
 
 @dataclass(frozen=True)
@@ -161,12 +158,10 @@ def apply_simple(inst: QQInstance, sol: QQSolution, i: int
     :class:`InconsistentSystem` from there means the input was not
     i-composable.
     """
-    field = inst.field
     qm = chop(sol.q_minus[i - 1])
     if qm.is_zero:
         raise ValueError(f"q-_{i} vanishes; the step at color {i} is undefined")
-    res = qq_residual(inst, sol, i)
-    if not (res.is_zero or field.is_zero(res.norm(), scale=qq_residual_scale(inst, sol, i))):
+    if not equation_holds(inst, sol, i):
         raise ValueError(f"equation {i} does not hold; Backlund step undefined")
 
     lam = qm.lc()

@@ -393,55 +393,6 @@ class Diagonalization:
     trace: ChainTrace
 
 
-def _raw_backlund_data(inst: QQInstance, sol: QQSolution, word: WeylWord,
-                       retry_attempts: int = 8, retry_seed: int = 0):
-    """Gauge coefficients and final plus family of the unnormalized iteration.
-
-    The chain that feeds the Bruhat factorization must not renormalize its
-    plus polynomials: a monic rescaling mid-chain multiplies every later
-    gauge coefficient by a constant and the assembled product then fails the
-    intertwining identity.  This runner keeps the original singularity data,
-    reflects only the twist, and swaps without rescaling.
-    """
-    import random as _random
-
-    from .backlund import mu as _mu
-    from .qqcore import _complete_color, check_nondegenerate as _nondeg
-    from .rootsys import reflect_twist as _reflect
-
-    field = inst.field
-    cmat = inst.cartan
-    rng = _random.Random(retry_seed)
-    cur = inst
-    q_plus = list(sol.q_plus)
-    q_minus = list(sol.q_minus)
-    mus = []
-    for step_no, pos in enumerate(range(len(word) - 1, -1, -1), start=1):
-        j = word.letters[pos]
-        if cur.xi(j) == 0:
-            for _ in range(retry_attempts):
-                fam = list(q_plus)
-                fam[j - 1] = q_minus[j - 1].monic()
-                if _nondeg(cur, fam).ok:
-                    break
-                q_minus[j - 1] = q_minus[j - 1] + q_plus[j - 1].scale(field(rng.randint(1, 10 ** 6)))
-        mus.append((j, _mu(cur, QQSolution.make(q_plus, q_minus), j)))
-        cur = cur.with_twist(_reflect(j, cur.twist, cmat))
-        old_plus = q_plus[j - 1]
-        q_plus[j - 1] = q_minus[j - 1]
-        q_minus[j - 1] = -old_plus
-        lambdas = build_lambdas(cur)
-        for k in range(1, inst.rank + 1):
-            if k != j:
-                try:
-                    q_minus[k - 1] = _complete_color(cur, q_plus, k, lambdas)
-                except Exception as exc:  # surfaced with step context
-                    from .errors import ChainBroken
-
-                    raise ChainBroken(step_no, exc) from exc
-    return mus, tuple(q_plus)
-
-
 def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Diagonalization:
     """Build the upper-triangular gauge v with A = v (d + Z^H) v^-1.
 
@@ -450,21 +401,43 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
     in the defining representation, splits b- = b+ . w0 . n+ by Gaussian
     elimination, and returns v = b+ together with the verification defect of
     A - (v Z^H v^-1 - v' v^-1).
+
+    v is assembled from the returned trace.  The gauge product needs the
+    unnormalized chain (a monic rescaling multiplies every later gauge
+    coefficient by a constant and breaks the intertwining identity), so the
+    trace's monic rescaling is undone through its lead ledger, one constant
+    per color.  A retry at xi_i = 0 follows :func:`chain`'s seeded policy.
     """
     _type_a_check(inst.ctype)
     field = inst.field
     if len(word) != inst.ctype.n_positive_roots:
         raise ValueError("word length must equal the number of positive roots")
     trace = chain(inst, sol, word)
-    mus, qbar = _raw_backlund_data(inst, sol, word)
     n = inst.rank + 1
+    cmat = inst.cartan
 
+    # before the step at i the unnormalized (q+_i, q-_i) is (c_i q+_i, pair/c_i q-_i)
+    # of the traced pair; lam is the step's monic rescaling
+    c = [field.one] * inst.rank
+    prev_inst, prev_sol = inst, sol
     e_mat = RatMatrix.identity(field, n)
-    for i, mu_val in mus:  # e^{-mu f_i} = 1 - mu E_{i+1,i}
+    for step in trace.steps:
+        i = step.index
+        adj = field.one
+        for j in range(1, inst.rank + 1):
+            e = -cmat.a(j, i)
+            if j != i and e:
+                adj = adj * c[j - 1] ** e
+        pair = inst.lead[i - 1] / prev_inst.lead[i - 1] * adj
+        mu_raw = RationalFn.make(step.mu.num.scale(adj), step.mu.den.scale(pair))
         elem = [[rf_const(field, 1) if a == b else rf_zero(field) for b in range(n)]
                 for a in range(n)]
-        elem[i][i - 1] = -mu_val
+        elem[i][i - 1] = -mu_raw  # e^{-mu f_i} = 1 - mu E_{i+1,i}
         e_mat = e_mat @ RatMatrix.build(elem)
+        lam = -step.solution.q_minus[i - 1].lc() / prev_sol.q_plus[i - 1].lc()
+        c[i - 1] = pair / c[i - 1] * lam
+        prev_inst, prev_sol = step.instance, step.solution
+    qbar = [p.scale(ck) for ck, p in zip(c, trace.final_solution.q_plus)]
 
     diag = []
     for a in range(n):

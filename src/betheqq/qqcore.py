@@ -76,7 +76,7 @@ class QQInstance:
 
     @property
     def cartan(self) -> CartanMatrix:
-        return cartan_matrix(self.ctype)
+        return self.ctype.cartan
 
     def xi(self, i: int):
         return pairing(i, self.twist, self.cartan)
@@ -86,9 +86,6 @@ class QQInstance:
 
     def with_twist(self, twist: Twist) -> "QQInstance":
         return replace(self, twist=twist)
-
-    def with_lead(self, lead: Sequence) -> "QQInstance":
-        return replace(self, lead=tuple(self.field(x) for x in lead))
 
 
 @dataclass(frozen=True)
@@ -164,15 +161,16 @@ def qq_residual_scale(inst: QQInstance, sol: QQSolution, i: int):
     return max(parts)
 
 
-def residuals_vanish(inst: QQInstance, sol: QQSolution) -> bool:
-    field = inst.field
-    for i in range(1, inst.rank + 1):
+def equation_holds(inst: QQInstance, sol: QQSolution, i: int, res: Poly | None = None) -> bool:
+    """Whether the i-th equation holds: its residual ``res`` (computed when
+    not given) is zero, or negligible against the equation's scale."""
+    if res is None:
         res = qq_residual(inst, sol, i)
-        if res.is_zero:
-            continue
-        if not field.is_zero(res.norm(), scale=qq_residual_scale(inst, sol, i)):
-            return False
-    return True
+    return res.is_zero or inst.field.is_zero(res.norm(), scale=qq_residual_scale(inst, sol, i))
+
+
+def residuals_vanish(inst: QQInstance, sol: QQSolution) -> bool:
+    return all(equation_holds(inst, sol, i) for i in range(1, inst.rank + 1))
 
 
 def check_nondegenerate(inst: QQInstance, q_plus: Sequence[Poly]) -> NondegReport:

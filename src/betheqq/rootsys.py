@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidCartanType, UnsupportedType
@@ -54,6 +55,11 @@ class CartanType:
         lo, hi = _RANK_RANGE[fam]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidCartanType(f"{fam}{self.rank}: rank out of range for family {fam}")
+
+    @cached_property
+    def cartan(self) -> "CartanMatrix":
+        """The Cartan matrix, built and validated once per type object."""
+        return cartan_matrix(self)
 
     @property
     def n_positive_roots(self) -> int:

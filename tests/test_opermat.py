@@ -242,6 +242,28 @@ class TestDiagonalize:
         for letters in ([1, 2, 1], [2, 1, 2]):
             out = bq.diagonalize_type_a(inst, sol, bq.WeylWord.make(letters, 2))
             assert out.residual == 0
+        inst, _, sol = a2_rational(zeta=(Q(1), Q(2)))  # xi_1 = 0: not a regular twist
+        assert inst.xi(1) == 0
+        for letters in ([1, 2, 1], [2, 1, 2]):
+            out = bq.diagonalize_type_a(inst, sol, bq.WeylWord.make(letters, 2))
+            assert out.residual == 0
+            assert out.v.is_upper_triangular()
+
+    def test_runs_the_chain_once(self, monkeypatch):
+        import betheqq.backlund
+
+        calls = []
+        original = betheqq.backlund.mu
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(betheqq.backlund, "mu", counted)
+        inst, _, sol = a2_rational()
+        word = bq.WeylWord.make([1, 2, 1], 2)
+        bq.diagonalize_type_a(inst, sol, word)
+        assert len(calls) == len(word)
 
     def test_wrong_word_length(self):
         inst, _, sol = a2_rational()

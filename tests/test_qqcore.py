@@ -7,6 +7,7 @@ import pytest
 
 import betheqq as bq
 from betheqq.polyalg import Poly, RationalFn
+from betheqq.qqcore import equation_holds
 from fixhelp import a1_standard, a2_rational, b2_rational, g2_rational
 
 F = bq.ExactField()
@@ -67,6 +68,28 @@ class TestResidual:
             qp2, qm2 = qp.scale(c), qm.scale(1 / c)
             lhs2 = bq.wronskian(qp2, qm2) + (qp2 * qm2).scale(inst.xi(i))
             assert (lhs1 - lhs2).is_zero
+
+
+class TestEquationHolds:
+    def test_agrees_with_residuals(self):
+        for inst, _, sol in (a1_standard(), a2_rational(), b2_rational()):
+            assert all(equation_holds(inst, sol, i) for i in range(1, inst.rank + 1))
+            assert bq.residuals_vanish(inst, sol)
+            bumped = list(sol.q_minus)
+            bumped[0] = bumped[0] + P(1)
+            bad = bq.QQSolution.make(sol.q_plus, bumped)
+            res = bq.qq_residual(inst, bad, 1)
+            assert not equation_holds(inst, bad, 1)
+            assert not equation_holds(inst, bad, 1, res)
+            assert not bq.residuals_vanish(inst, bad)
+
+    def test_numeric_relative_scale(self):
+        N = bq.NumericField(256)
+        inst, _, sol = a2_rational(field=N)
+        tiny = N.ctx.mpf(2) ** -300
+        nudged = bq.QQSolution.make(sol.q_plus, [q + Poly.const(N, tiny) for q in sol.q_minus])
+        assert not bq.qq_residual(inst, nudged, 1).is_zero
+        assert equation_holds(inst, nudged, 1)
 
 
 class TestNondegenerate:

@@ -7,6 +7,7 @@ import pytest
 
 import betheqq as bq
 from betheqq.rootsys import _reflect_root_coords
+from fixhelp import a2_rational
 
 F = bq.ExactField()
 
@@ -20,6 +21,13 @@ class TestCartanMatrix:
         assert bq.cartan_matrix(bq.CartanType("A", 1)).entries == ((2,),)
         assert bq.cartan_matrix(bq.CartanType("A", 2)).entries == ((2, -1), (-1, 2))
         assert bq.cartan_matrix(bq.CartanType("B", 2)).entries == ((2, -1), (-2, 2))
+
+    def test_cached_per_type(self):
+        ctype = bq.CartanType("B", 3)
+        assert ctype.cartan is ctype.cartan
+        assert ctype.cartan.entries == bq.cartan_matrix(ctype).entries
+        inst, _, _ = a2_rational()
+        assert inst.cartan is inst.ctype.cartan
 
     @pytest.mark.parametrize("fam,rank", CATALOG)
     def test_invariants(self, fam, rank):
