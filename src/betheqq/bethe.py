@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
-from .polyalg import RationalFn, poly_from_roots
+from .polyalg import Poly, RationalFn, poly_from_roots
 from .qqcore import QQInstance, QQSolution, build_lambdas
 from .rootsys import Twist
-from .scalars import ExactField, Field, NumericField
+from .scalars import ExactField, Field, MachineField, NumericField
 
 logger = logging.getLogger(__name__)
 
@@ -90,25 +90,30 @@ def _collision_guard(field: Field, denom, what: str):
     return denom
 
 
-def _check_root_invariants(inst: QQInstance, roots: BetheRoots) -> None:
-    field = inst.field
+def _root_gaps(inst: QQInstance, roots: BetheRoots):
+    """Yield (value, what) for each quantity that vanishes when roots collide."""
     cmat = inst.cartan
     for i, color in enumerate(roots.roots, start=1):
         for a in range(len(color)):
             for b in range(a + 1, len(color)):
-                _collision_guard(field, color[a] - color[b], f"equal roots of color {i}")
+                yield color[a] - color[b], f"equal roots of color {i}"
         for w in color:
             for z, exps in inst.points:
                 if exps[i - 1]:
-                    _collision_guard(field, w - z, f"root of color {i} on a singular point")
+                    yield w - z, f"root of color {i} on a singular point"
             extra = inst.extra[i - 1]
             if extra is not None and extra.degree() > 0:
-                _collision_guard(field, extra(w), f"root of color {i} on a cofactor zero")
+                yield extra(w), f"root of color {i} on a cofactor zero"
         for j in range(i + 1, inst.rank + 1):
             if cmat.adjacent(i, j):
                 for w in color:
                     for v in roots.roots[j - 1]:
-                        _collision_guard(field, w - v, f"colors {i},{j} share a root")
+                        yield w - v, f"colors {i},{j} share a root"
+
+
+def _check_root_invariants(inst: QQInstance, roots: BetheRoots) -> None:
+    for value, what in _root_gaps(inst, roots):
+        _collision_guard(inst.field, value, what)
 
 
 def bethe_residual(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
@@ -273,7 +278,7 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
                 if worst <= field.abs(tol):
                     if log is not None:
                         log.append({"step": it, "max_residual": float(worst), "damping": 1.0,
-                                    "converged": True})
+                                    "precision": field.precision, "converged": True})
                     return rts.canonical(field)
                 jac = bethe_jacobian(inst, rts)
                 delta = _solve_dense(field, jac, [-v for v in res])
@@ -292,7 +297,7 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
                         accepted = True
                         if log is not None:
                             log.append({"step": it, "max_residual": float(tworst),
-                                        "damping": float(alpha)})
+                                        "damping": float(alpha), "precision": field.precision})
                         break
                 if not accepted:
                     raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
@@ -467,10 +472,17 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                       opts: SolveOptions | None = None, log: list | None = None) -> BetheRoots:
     """Track Bethe roots from the infinite system down to the target twist.
 
-    The twist is scaled geometrically from 2^40 down to 1 over
-    ``opts.continuation`` steps, Newton-correcting at each step from the
+    The twist is scaled geometrically from ``t_top`` down to 1 over
+    ``opts.continuation`` steps, Newton-correcting each step from the
     previous roots; the starting configuration is the first-order
-    deformation of the infinite-system roots.
+    deformation of the infinite-system roots.  The path is tracked on a
+    shifted and rescaled copy of the instance in machine floats
+    (``MachineField``), or in the caller's field when the marked points
+    spread too wide for machine floats.  ``t_top = tau_root^(-1/2) / sigma``
+    of the tracking field, where sigma = min(1, min|xi| * spacing) of the
+    points, and each step is corrected to the tracking field's ``tau_root``
+    relative to the twist at that scale.  One Newton refinement in the
+    caller's field then brings the tracked roots to the caller's tolerance.
     """
     opts = opts or SolveOptions()
     field = inst.field
@@ -484,9 +496,31 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     if all(len(ws) == 0 for ws in part.w_sets):
         return BetheRoots(tuple(() for _ in range(inst.rank)))
 
+    # The equations keep their form under w, z -> c (w - b), xi -> xi / c
+    # (partitioned cofactors are constants).  The tracked copy has max|xi| =
+    # sigma = min(1, min|xi| * spacing) and its points at least 1 apart, so
+    # from t_top = tau_root^(-1/2) / sigma every seed starts at least
+    # tau_root^(1/2) from its source and at most tau_root^(1/2) times the
+    # spacing.  Each step rescales the coordinates again (``correct``), so the
+    # guards and pivot thresholds of the tracking field act relative to the
+    # geometry.  The path is tracked in machine floats unless the points
+    # spread too wide for a unit seed offset to be resolved to tau there.
+    mags = [field.abs(x) for x in xis]
+    zs = [z for z, _ in inst.points]
+    dists = [field.abs(u - v) for k, u in enumerate(zs) for v in zs[k + 1:]]
+    sigma = min(1, min(mags) * min(dists)) if dists else 1
+    c = max(mags) / sigma
+    b = sum(zs, field.zero) / len(zs)
+    track = MachineField()
+    if dists and c * max(dists) > track.tau_root ** 0.5 / track.tau:
+        track = field
+    target = QQInstance.make(inst.ctype, track, [(c * (z - b), e) for z, e in inst.points],
+                             [x / c for x in inst.twist.zeta], inst.lead,
+                             [None if e is None else Poly.make(track, e.coeffs) for e in inst.extra])
+    part = InfinitePartition.make(track, [[c * (w - b) for w in ws] for ws in part.w_sets])
     steps = max(1, opts.continuation)
-    ctx = field.ctx
-    t_top = ctx.mpf(2) ** 40
+    ctx = track.ctx
+    t_top = track.tau_root ** -0.5 / track(sigma).real
     # detour the scale through the complex plane (seeded), so the path avoids
     # the real discriminant locus where tracked roots would collide
     rng = random.Random(f"{opts.seed}-gamma")
@@ -495,36 +529,52 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     for m in range(steps):
         s = ctx.mpf(m) / max(1, steps - 1)
         scales.append(t_top ** (1 - s) * ctx.exp(ctx.mpc(0, 1) * bump * s * (1 - s)))
-    inner = SolveOptions(max_iterations=min(12, opts.max_iterations), damping=opts.damping,
-                         tolerance=opts.tolerance, continuation=opts.continuation, seed=opts.seed)
+    inner = replace(opts, max_iterations=min(12, opts.max_iterations))
+    lo = min(abs(x) for x in target.xis())
     budget = [64 * steps]
 
-    def at_scale(t):
-        return inst.with_twist(Twist(field, tuple(z * t for z in inst.twist.zeta)))
+    def at_scale(t, k):
+        """The tracked copy at twist scale t, in coordinates multiplied by k."""
+        return replace(target, points=tuple((k * z, e) for z, e in target.points),
+                       twist=Twist(track, tuple(z * t / k for z in target.twist.zeta)))
 
-    def advance(roots, t_from, t_to, depth):
+    def correct(roots, k, t, step_opts):
+        # keep the closest pair that may not collide within [1/16, 16] by
+        # rescaling to 1 apart, then correct to tau_root relative to the
+        # smallest |xi| at this scale (at least tau_root^2, above the
+        # rounding of unit-size terms)
+        at = at_scale(t, k)
+        gap = min(abs(g) for g, _ in _root_gaps(at, roots))
+        if not 1 / 16 <= gap <= 16 and gap > 0:
+            roots = BetheRoots(tuple(tuple(w / gap for w in color) for color in roots.roots))
+            k = k / gap
+            at = at_scale(t, k)
+        tol = track.tau_root * max(track.tau_root, lo * abs(t) / k)
+        out = solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log)
+        _guard_path(at, out)
+        return out, k
+
+    def advance(roots, k, t_from, t_to, depth):
         if budget[0] <= 0:
             raise NoConvergence("continuation budget exhausted")
         budget[0] -= 1
         try:
-            out = solve_newton(at_scale(t_to), roots, inner, log=log)
-            _guard_path(inst, out)
-            return out
+            return correct(roots, k, t_to, inner)
         except (NoConvergence, SingularJacobian, PoleCollision) as exc:
             if depth >= 40:
                 if isinstance(exc, PoleCollision):
                     raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
                 raise
             t_mid = ctx.sqrt(t_from * t_to)
-            mid = advance(roots, t_from, t_mid, depth + 1)
-            return advance(mid, t_mid, t_to, depth + 1)
+            mid, k = advance(roots, k, t_from, t_mid, depth + 1)
+            return advance(mid, k, t_mid, t_to, depth + 1)
 
-    roots = _seed_positions(at_scale(scales[0]), part,
-                            at_scale(scales[0]).xis())
-    roots = solve_newton(at_scale(scales[0]), roots, opts, log=log)
+    top = at_scale(scales[0], 1)
+    roots, k = correct(_seed_positions(top, part, top.xis()), 1, scales[0], opts)
     for m in range(1, steps):
-        roots = advance(roots, scales[m - 1], scales[m], 0)
-    # final polish under the caller's full iteration budget
+        roots, k = advance(roots, k, scales[m - 1], scales[m], 0)
+    # one refinement in the caller's field under the caller's options
+    roots = BetheRoots(tuple(tuple(field(w) / (c * k) + b for w in color) for color in roots.roots))
     roots = solve_newton(inst, roots, opts, log=log)
     _guard_path(inst, roots)
     return roots

@@ -32,7 +32,6 @@ from .bethe import BetheRoots
 from .opermat import diagonalize_type_a, regularity_residues, verify_mp_twist
 from .qqcore import check_nondegenerate, equation_holds, fold, qq_residual
 from .rootsys import cartan_matrix
-from .scalars import ExactField
 
 EXIT_OK, EXIT_CHECK, EXIT_INPUT, EXIT_SOLVER = 0, 1, 2, 3
 

@@ -19,7 +19,7 @@ from .errors import FactorizationFailed, PoleCollision, UnsupportedType
 from .polyalg import Poly, RationalFn, log_deriv, roots, solve_linear_ode
 from .qqcore import QQInstance, QQSolution, build_lambdas
 from .rootsys import CartanMatrix, CartanType, Twist, WeylWord, cartan_matrix, twist_from_pairings
-from .scalars import ExactField, Field
+from .scalars import Field
 
 
 # -- matrices of rational functions ----------------------------------------

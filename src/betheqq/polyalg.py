@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PoleCollision, ZeroDenominator
-from .scalars import ExactField, Field, NumericField
+from .scalars import ExactField, Field
 
 logger = logging.getLogger(__name__)
 

@@ -20,7 +20,7 @@ from .errors import InconsistentSystem, UnsupportedType
 from .polyalg import Poly, chop, coprime_check, distinct_roots_check, solve_linear_system
 from .polyalg import wronskian as wr
 from .rootsys import CartanMatrix, CartanType, Twist, cartan_matrix, pairing, twist_from_pairings
-from .scalars import ExactField, Field
+from .scalars import Field
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ Conventions (fixed once, used everywhere in this package):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidCartanType, UnsupportedType
-from .scalars import ExactField, Field
+from .scalars import Field
 
 _RANK_RANGE = {
     "A": (1, None),

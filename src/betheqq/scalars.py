@@ -8,6 +8,8 @@ build, compare, and serialize its scalars:
   * ``NumericField`` -- mpmath ``mpf``/``mpc`` at a configurable binary
     precision, with a *relative* comparison tolerance ``tau`` and a root
     separation tolerance ``tau_root``.
+  * ``MachineField`` -- the same interface on mpmath's ``fp`` context
+    (Python ``float``/``complex``), used to track continuation paths.
 
 Each ``NumericField`` owns a private mpmath context, so precision is a
 property of the values, not of a process-wide switch; two fields with
@@ -19,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Union
 
+from mpmath import fp
 from mpmath.ctx_mp import MPContext
 
 from .errors import ParseError
@@ -44,6 +47,7 @@ class ExactField:
     """Rational arithmetic backend (``fractions.Fraction``)."""
 
     backend = "exact"
+    precision = None  # unbounded
 
     def __init__(self) -> None:
         self.tau = Fraction(0)
@@ -101,8 +105,12 @@ class NumericField:
             raise ValueError("precision must be at least 24 bits")
         ctx = MPContext()
         ctx.prec = precision
+        self._bind(ctx, tau, tau_root)
+
+    def _bind(self, ctx, tau=None, tau_root=None) -> None:
+        """Attach ``ctx`` and derive the default tolerances from its precision."""
         self.ctx = ctx
-        self.precision = precision
+        self.precision = precision = ctx.prec
         self.tau = ctx.mpf(tau) if tau is not None else ctx.mpf(2) ** -((5 * precision) // 8)
         self.tau_root = (
             ctx.mpf(tau_root) if tau_root is not None else ctx.mpf(2) ** -((5 * precision) // 16)
@@ -162,6 +170,19 @@ class NumericField:
 
     def __repr__(self) -> str:
         return f"NumericField(precision={self.precision})"
+
+
+class MachineField(NumericField):
+    """``NumericField`` on mpmath's machine-float context ``fp``.
+
+    Scalars are Python ``float``/``complex`` at 53 bits, with the default
+    tolerances of that precision: tau = 2^-33, tau_root = 2^-16.  Continuation
+    tracks its path here and refines once in the caller's field; it is not a
+    file-format backend.
+    """
+
+    def __init__(self):
+        self._bind(fp)
 
 
 Field = Union[ExactField, NumericField]

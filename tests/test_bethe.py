@@ -100,7 +100,8 @@ class TestNewton:
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])
         log = []
         bq.solve_newton(inst, bq.BetheRoots.make(N, [[N("-0.8")]]), log=log)
-        assert log and all({"step", "max_residual", "damping"} <= set(r) for r in log)
+        assert log and all({"step", "max_residual", "damping", "precision"} <= set(r) for r in log)
+        assert {r["precision"] for r in log} == {256}
 
 
 class TestInfiniteSystem:
@@ -175,6 +176,77 @@ class TestContinuation:
         assert bq.verify_bethe(inst, roots).ok
         w = roots.roots[0][0]
         assert abs(w.imag) > N.ctx.mpf("0.1")
+
+    def test_precision_range(self):
+        # the criterion-2 cases solve at every documented precision, and the
+        # 256- and 512-bit answers lie on the same branch
+        found = {}
+        for prec in (53, 128, 256, 512):
+            field = bq.NumericField(prec)
+            for k in range(12):
+                inst, part = random_bijection_case(random.Random(9000 + k), k % 3 + 1, field)
+                roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=k))
+                assert bq.verify_bethe(inst, roots).ok, (prec, k)
+                found[prec, k] = roots
+        hi = bq.NumericField(512)
+        for k in range(12):
+            for lo_color, hi_color in zip(found[256, k].roots, found[512, k].roots):
+                for w in lo_color:
+                    assert min(abs(hi(w) - v) for v in hi_color) < hi.ctx.mpf("1e-40"), k
+
+    @pytest.mark.parametrize("xi", ["1e-6", "1000", "1e6"])
+    def test_twist_magnitude(self, xi):
+        # one point at 0: the root is -1/xi at any magnitude of the twist
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [N(xi) / 2])
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0]]),
+                                     bq.SolveOptions(seed=1))
+        assert abs(roots.roots[0][0] * N(xi) + 1) < N.ctx.mpf("1e-40")
+
+    @pytest.mark.parametrize("d", ["1e-4", "1e-9"])
+    def test_close_points(self, d):
+        # xi = 1 and points 0, d: the root drawn from d solves
+        # w^2 + (2 - d) w - d = 0 and sits between the points
+        d = N(d)
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,)), (d, (1,))], [Q(1, 2)])
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[d]]),
+                                     bq.SolveOptions(seed=1))
+        exact = (d - 2 + N.ctx.sqrt((2 - d) ** 2 + 4 * d)) / 2
+        assert abs(roots.roots[0][0] - exact) < d * N.ctx.mpf("1e-40")
+
+    @pytest.mark.parametrize("d, expected", [("1e-4", ("-1.5919042", "6.7876497")),
+                                             ("1e-9", ("-1.591905749", "6.787588697"))])
+    def test_close_points_wide_spread(self, d, expected):
+        # points d apart against a unit spread; at 1e-9 the spread is too
+        # wide for machine floats and the path is tracked at 256 bits
+        d = N(d)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N, [(0, (1, 0)), (d, (0, 1)), (1, (1, 0))],
+                                  [Q(2, 3), Q(1, 5)])
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [d]]),
+                                     bq.SolveOptions(seed=1))
+        assert bq.verify_bethe(inst, roots).ok
+        for color, value in zip(roots.roots, expected):
+            assert abs(color[0] - N(value)) < N.ctx.mpf("1e-6")
+
+    def test_target_precision_only_refines(self, monkeypatch):
+        # the path is tracked at machine precision; the caller's 256 bits
+        # only see the final refinement
+        import betheqq.bethe
+
+        jacobian = betheqq.bethe.bethe_jacobian
+        at_target = []
+
+        def counting(inst, roots):
+            if inst.field.precision == 256:
+                at_target.append(roots)
+            return jacobian(inst, roots)
+
+        monkeypatch.setattr(betheqq.bethe, "bethe_jacobian", counting)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [3]]),
+                                     bq.SolveOptions(seed=3))
+        assert bq.verify_bethe(inst, roots).ok
+        assert 0 < len(at_target) <= 6
 
     def test_exact_backend_rejected(self):
         inst = a1_two_points(F)
