@@ -28,6 +28,7 @@ from .qqcore import (
     build_lambdas,
     check_nondegenerate,
     equation_holds,
+    neighbor_product,
 )
 from .rootsys import WeylWord, is_reduced, reflect_twist
 
@@ -99,14 +100,9 @@ def check_admissible(datum: CombinatorialDatum, word: WeylWord, cartan) -> Admis
     checks = []
     ok = True
     for s in range(len(word) + 1):
-        holds = all(x >= 0 for x in current.d)
-        for j in range(1, r + 1):
-            bound = current.n[j - 1]
-            for p in range(1, r + 1):
-                if p != j:
-                    bound -= cartan.a(p, j) * current.d[p - 1]
-            if current.d[j - 1] > bound:
-                holds = False
+        # d_j <= N_j - sum_{p != j} a_{pj} d_p  iff  d'_j >= 0 after the step at j
+        holds = all(x >= 0 for x in current.d) and all(
+            degree_map(current, j, cartan)[j - 1] >= 0 for j in range(1, r + 1))
         checks.append(PrefixCheck(s, current.d, holds))
         ok = ok and holds
         if s < len(word):
@@ -123,13 +119,7 @@ def mu(inst: QQInstance, sol: QQSolution, i: int) -> RationalFn:
     qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
     if qp.is_zero or qm.is_zero:
         raise ValueError(f"mu needs nonzero q+_{i} and q-_{i}")
-    cmat = inst.cartan
-    num = Poly.const(inst.field, 1)
-    for j in range(1, inst.rank + 1):
-        if j != i:
-            e = -cmat.a(j, i)
-            if e:
-                num = num * sol.q_plus[j - 1] ** e
+    num = neighbor_product(inst.cartan, sol.q_plus, i, Poly.const(inst.field, 1))
     return RationalFn.make(num, qp * qm)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
-from .polyalg import Poly, RationalFn, poly_from_roots
-from .qqcore import QQInstance, QQSolution, build_lambdas
+from .polyalg import Poly, RationalFn, _gauss_jordan, poly_from_roots
+from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
 from .rootsys import Twist
 from .scalars import ExactField, Field, MachineField, NumericField
 
@@ -111,11 +111,6 @@ def _root_gaps(inst: QQInstance, roots: BetheRoots):
                         yield w - v, f"colors {i},{j} share a root"
 
 
-def _check_root_invariants(inst: QQInstance, roots: BetheRoots) -> None:
-    for value, what in _root_gaps(inst, roots):
-        _collision_guard(inst.field, value, what)
-
-
 def bethe_residual(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
     """The (i, ell)-th residual as an explicit sum over poles."""
     field = inst.field
@@ -148,16 +143,9 @@ def bethe_residual_log_form(inst: QQInstance, roots: BetheRoots, i: int, ell: in
     route: it works on expanded polynomial coefficients.
     """
     field = inst.field
-    cmat = inst.cartan
     w = roots.roots[i - 1][ell - 1]
-    lam = build_lambdas(inst)[i - 1]
-    num = lam
-    for j in range(1, inst.rank + 1):
-        if j == i:
-            continue
-        e = -cmat.a(j, i)
-        if e:
-            num = num * poly_from_roots(field, roots.roots[j - 1]) ** e
+    q_plus = [poly_from_roots(field, color) for color in roots.roots]
+    num = neighbor_product(inst.cartan, q_plus, i, build_lambdas(inst)[i - 1])
     # a_{ii} = 2: the denominator (q+_i)^2 cancels (z-w)^2 after deflation
     u = poly_from_roots(field, [v for s, v in enumerate(roots.roots[i - 1], start=1) if s != ell])
     den = u * u
@@ -178,7 +166,6 @@ class BetheReport:
 def verify_bethe(inst: QQInstance, roots: BetheRoots, tolerance=None) -> BetheReport:
     """Max |residual| over all equations; pass iff at most the tolerance."""
     field = inst.field
-    _check_root_invariants(inst, roots)
     tol = field.tau if tolerance is None else tolerance
     vals = {}
     worst = field.abs(field.zero)
@@ -220,27 +207,6 @@ def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
     return jac
 
 
-def _solve_dense(field: Field, a: list, b: list) -> list:
-    """Dense linear solve with partial pivoting; raises SingularJacobian."""
-    n = len(b)
-    m = [list(row) + [b[k]] for k, row in enumerate(a)]
-    norm = max((field.abs(v) for row in a for v in row), default=field.abs(field.zero))
-    tol = field.tau * max(field.abs(field.one), norm) if isinstance(field, NumericField) else None
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: field.abs(m[r][c]))
-        mag = field.abs(m[piv][c])
-        if (tol is None and m[piv][c] == 0) or (tol is not None and mag <= tol):
-            raise SingularJacobian(f"pivot {mag} in column {c}")
-        m[c], m[piv] = m[piv], m[c]
-        for r in range(n):
-            if r == c or m[r][c] == 0:
-                continue
-            f = m[r][c] / m[c][c]
-            for j in range(c, n + 1):
-                m[r][j] = m[r][j] - f * m[c][j]
-    return [m[k][n] / m[k][k] for k in range(n)]
-
-
 def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None = None,
                  log: list | None = None) -> BetheRoots:
     """Damped Newton iteration on the stacked Bethe residuals.
@@ -266,7 +232,6 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
         return max((field.abs(v) for v in vals), default=field.abs(field.zero))
 
     current = init
-    _check_root_invariants(inst, current)
     if current.total() == 0:
         return current
     for attempt in range(4):
@@ -281,13 +246,15 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
                                     "precision": field.precision, "converged": True})
                     return rts.canonical(field)
                 jac = bethe_jacobian(inst, rts)
-                delta = _solve_dense(field, jac, [-v for v in res])
+                a, pivots = _gauss_jordan(field, jac, [-v for v in res])
+                if len(pivots) < len(res):
+                    raise SingularJacobian(f"Jacobian of rank {len(pivots)} < {len(res)}")
+                delta = [row[-1] / row[c] for row, c in zip(a, pivots)]
                 flat = rts.flat()
                 accepted = False
                 for alpha in damps:
                     trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
                     try:
-                        _check_root_invariants(inst, trial)
                         tres = resid_vec(trial)
                     except PoleCollision:
                         continue
@@ -550,9 +517,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             k = k / gap
             at = at_scale(t, k)
         tol = track.tau_root * max(track.tau_root, lo * abs(t) / k)
-        out = solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log)
-        _guard_path(at, out)
-        return out, k
+        return solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log), k
 
     def advance(roots, k, t_from, t_to, depth):
         if budget[0] <= 0:
@@ -575,25 +540,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         roots, k = advance(roots, k, scales[m - 1], scales[m], 0)
     # one refinement in the caller's field under the caller's options
     roots = BetheRoots(tuple(tuple(field(w) / (c * k) + b for w in color) for color in roots.roots))
-    roots = solve_newton(inst, roots, opts, log=log)
-    _guard_path(inst, roots)
-    return roots
-
-
-def _guard_path(inst: QQInstance, roots: BetheRoots) -> None:
-    """Raise when two roots that may not coincide approach within tau_root."""
-    field = inst.field
-    cmat = inst.cartan
-    for i in range(1, inst.rank + 1):
-        for j in range(i, inst.rank + 1):
-            if i != j and not cmat.adjacent(i, j):
-                continue
-            for a, w in enumerate(roots.roots[i - 1]):
-                for b, v in enumerate(roots.roots[j - 1]):
-                    if i == j and b <= a:
-                        continue
-                    if abs(w - v) <= field.tau_root:
-                        raise PathCollision("two tracked roots merged during continuation")
+    return solve_newton(inst, roots, opts, log=log)
 
 
 def roots_to_solution(inst: QQInstance, roots: BetheRoots,

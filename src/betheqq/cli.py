@@ -53,17 +53,12 @@ def _write_json(path: str | None, doc: dict) -> None:
         print(text)
 
 
-def _load_instance(args, path=None):
-    doc = _load_json(path or args.instance)
+def _load_instance(args):
+    doc = _load_json(args.instance)
+    if args.tol is not None:  # the field's tau for the run, as "tolerances" sets it
+        doc["tolerances"] = {**(doc.get("tolerances") or {}), "tau": args.tol}
     return fileio.instance_from_doc(doc, backend_override=args.backend,
                                     precision_override=args.precision)
-
-
-def _solve_options(args, inst) -> SolveOptions:
-    tol = None
-    if args.tol is not None:
-        tol = inst.field(args.tol)
-    return SolveOptions(tolerance=tol, seed=args.seed, continuation=args.steps)
 
 
 def _emit_log(records) -> None:
@@ -123,7 +118,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args)
     field = inst.field
     seed_doc = _load_json(args.start)
-    opts = _solve_options(args, inst)
+    opts = SolveOptions(seed=args.seed, continuation=args.steps)
     t0 = time.monotonic()
     report = fileio.Report("solve", inst, seed=args.seed)
     log: list = []
@@ -246,15 +241,34 @@ def cmd_diagonalize(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_CHECK
 
 
+#: exit code and stderr prefix per error type, first match wins
+_FAILURES = (
+    ((ParseError, BadPartition), EXIT_INPUT, "input error"),
+    ((NoConvergence, SingularJacobian, PathCollision), EXIT_SOLVER, "solver failed"),
+    ((InconsistentSystem, ChainBroken), EXIT_CHECK, "check failed"),
+    (BetheqqError, EXIT_INPUT, "error"),
+)
+
+
+def _run(fn, args, where: str = "") -> int:
+    """Run ``fn(args)``; a package error becomes its exit code and one stderr line."""
+    try:
+        return fn(args)
+    except BetheqqError as exc:
+        code, kind = next((c, k) for types, c, k in _FAILURES if isinstance(exc, types))
+        print(f"{where}{kind}: {exc}", file=sys.stderr)
+        return code
+
+
 def _run_captured(args) -> tuple:
-    """Worker entry: run a command with stdout buffered, for orderly reports."""
+    """Worker entry: run one batch item with its output buffered, for orderly reports."""
     import contextlib
     import io
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = args.fn(args)
-    return code, buf.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _run(args.fn, args, where=f"{args.instance}: ")
+    return code, out.getvalue(), err.getvalue()
 
 
 def _batch(args) -> int:
@@ -273,10 +287,10 @@ def _batch(args) -> int:
             sub.batch = False
             futures.append(pool.submit(_run_captured, sub))
         for f in futures:  # reports print in input order, never interleaved
-            code, text = f.result()
+            code, out, err = f.result()
             codes.append(code)
-            if text:
-                sys.stdout.write(text)
+            sys.stdout.write(out)
+            sys.stderr.write(err)
     return max(codes)
 
 
@@ -286,7 +300,8 @@ def main(argv=None) -> int:
                         help="override the instance file's scalar backend")
     common.add_argument("--precision", type=int, default=None,
                         help="binary precision for the numeric backend")
-    common.add_argument("--tol", default=None, help="solver convergence tolerance")
+    common.add_argument("--tol", default=None,
+                        help="the numeric field's tau: solver convergence and every check")
     common.add_argument("--seed", type=int, default=0, help="randomness seed")
 
     parser = argparse.ArgumentParser(
@@ -339,22 +354,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_diagonalize)
 
     args = parser.parse_args(argv)
-    try:
-        if getattr(args, "batch", False):
-            return _batch(args)
-        return args.fn(args)
-    except (ParseError, BadPartition) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NoConvergence, SingularJacobian, PathCollision) as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (InconsistentSystem, ChainBroken) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except BetheqqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    return _run(_batch if getattr(args, "batch", False) else args.fn, args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .backlund import ChainTrace, chain
 from .bethe import BetheRoots
 from .errors import FactorizationFailed, PoleCollision, UnsupportedType
 from .polyalg import Poly, RationalFn, log_deriv, roots, solve_linear_ode
-from .qqcore import QQInstance, QQSolution, build_lambdas
+from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
 from .rootsys import CartanMatrix, CartanType, Twist, WeylWord, cartan_matrix, twist_from_pairings
 from .scalars import Field
 
@@ -192,12 +192,7 @@ def gl2_oper(conn: MiuraConnection, cmat: CartanMatrix, i: int) -> Gl2Oper:
         [[g_i, RationalFn.from_poly(conn.lambdas[i - 1])], [rf_zero(field), lower]]
     )
 
-    rho = conn.lambdas[i - 1]
-    for k in range(1, r + 1):
-        if k != i:
-            e = -cmat.a(k, i)
-            if e:
-                rho = rho * conn.y[k - 1] ** e
+    rho = neighbor_product(cmat, conn.y, i, conn.lambdas[i - 1])
     zeta_i = conn.twist.zeta[i - 1]
     dlog = log_deriv(conn.y[i - 1])
     upper_diag = rf_const(field, zeta_i) - dlog
@@ -226,16 +221,10 @@ def mp_twist_block(inst: QQInstance, i: int) -> RatMatrix:
 def framing_block(inst: QQInstance, sol: QQSolution, i: int) -> RatMatrix:
     """v_i = diag(q+_i, (q+_i)^-1 prod_{j != i}(q+_j)^(-a_{ji})) [[1, -q-_i/q+_i],[0,1]]."""
     field = inst.field
-    cmat = inst.cartan
     qp = sol.q_plus[i - 1]
     if qp.is_zero:
         raise ValueError(f"q+_{i} is the zero polynomial")
-    prod = Poly.const(field, 1)
-    for j in range(1, inst.rank + 1):
-        if j != i:
-            e = -cmat.a(j, i)
-            if e:
-                prod = prod * sol.q_plus[j - 1] ** e
+    prod = neighbor_product(inst.cartan, sol.q_plus, i, Poly.const(field, 1))
     d1 = RationalFn.from_poly(qp)
     d2 = RationalFn.make(prod, qp)
     shear = RationalFn.make(-sol.q_minus[i - 1], qp)
@@ -414,7 +403,6 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
         raise ValueError("word length must equal the number of positive roots")
     trace = chain(inst, sol, word)
     n = inst.rank + 1
-    cmat = inst.cartan
 
     # before the step at i the unnormalized (q+_i, q-_i) is (c_i q+_i, pair/c_i q-_i)
     # of the traced pair; lam is the step's monic rescaling
@@ -423,11 +411,7 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
     e_mat = RatMatrix.identity(field, n)
     for step in trace.steps:
         i = step.index
-        adj = field.one
-        for j in range(1, inst.rank + 1):
-            e = -cmat.a(j, i)
-            if j != i and e:
-                adj = adj * c[j - 1] ** e
+        adj = neighbor_product(inst.cartan, c, i, field.one)
         pair = inst.lead[i - 1] / prev_inst.lead[i - 1] * adj
         mu_raw = RationalFn.make(step.mu.num.scale(adj), step.mu.den.scale(pair))
         elem = [[rf_const(field, 1) if a == b else rf_zero(field) for b in range(n)]

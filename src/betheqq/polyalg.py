@@ -466,17 +466,17 @@ def log_deriv(p: Poly) -> RationalFn:
 # -- dense linear solves ---------------------------------------------------
 
 
-def solve_linear_system(field: Field, rows: list[list], rhs: list):
-    """Gaussian elimination with partial pivoting over the scalar field.
+def _gauss_jordan(field: Field, rows: list[list], rhs: list):
+    """Gauss-Jordan elimination of ``[rows | rhs]`` under the pivot policy
+    of :func:`solve_linear_system`; entries must be scalars of ``field``.
 
-    Returns ``(solution, defect)`` where ``solution`` sets free variables to
-    zero and ``defect`` is the max residual magnitude of the eliminated
-    zero-rows (exactly 0 for a consistent exact system).  ``solution`` is
-    None when the system is structurally inconsistent on the exact backend.
+    Returns ``(reduced, pivots)``: the reduced augmented rows (a copy) and
+    the pivot columns in increasing order, row k holding the pivot of
+    column ``pivots[k]``.  A column with no admissible pivot is skipped.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[field(v) for v in row] + [field(rhs[i])] for i, row in enumerate(rows)]
+    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     exact = isinstance(field, ExactField)
     if exact:
         pivot_tol = field.zero
@@ -505,17 +505,32 @@ def solve_linear_system(field: Field, rows: list[list], rhs: list):
         r += 1
         if r == m:
             break
+    return a, piv_cols
+
+
+def solve_linear_system(field: Field, rows: list[list], rhs: list):
+    """Gaussian elimination with partial pivoting over the scalar field.
+
+    The package's one elimination and pivot policy, shared with Newton's
+    linear solves: a pivot is the largest entry of its column and must
+    exceed ``tau * max(1, ||rows||)`` on the numeric backend, or be nonzero
+    on the exact one.
+
+    Returns ``(solution, defect)`` where ``solution`` sets free variables to
+    zero and ``defect`` is the max residual magnitude of the eliminated
+    zero-rows (exactly 0 for a consistent exact system).  ``solution`` is
+    None when the system is structurally inconsistent on the exact backend.
+    """
+    n = len(rows[0]) if rows else 0
+    a, piv_cols = _gauss_jordan(field, [[field(v) for v in row] for row in rows],
+                                [field(v) for v in rhs])
     # residual of the rows with no pivot
     defect = field.abs(field.zero)
-    for i in range(r, m):
-        defect = max(defect, field.abs(a[i][n]))
-    if exact and defect != 0:
+    for row in a[len(piv_cols):]:
+        defect = max(defect, field.abs(row[n]))
+    if isinstance(field, ExactField) and defect != 0:
         return None, defect
     sol = [field.zero] * n
-    for i, c in enumerate(piv_cols):
-        acc = a[i][n]
-        for j in range(c + 1, n):
-            if a[i][j] != 0 and sol[j] != 0:
-                acc = acc - a[i][j] * sol[j]
-        sol[c] = acc / a[i][c]
+    for row, c in zip(a, piv_cols):
+        sol[c] = row[n] / row[c]
     return sol, defect

@@ -131,19 +131,23 @@ def build_lambdas(inst: QQInstance) -> tuple:
     return tuple(out)
 
 
+def neighbor_product(cmat: CartanMatrix, factors: Sequence, i: int, base):
+    """base * prod_{j != i} factors_j^(-a_{ji}), multiplied on in color order.
+
+    ``factors`` holds one polynomial or scalar per color.
+    """
+    out = base
+    for j, f in enumerate(factors, start=1):
+        e = -cmat.a(j, i)
+        if j != i and e:
+            out = out * f ** e
+    return out
+
+
 def qq_rhs(inst: QQInstance, q_plus: Sequence[Poly], i: int,
            lambdas: Sequence[Poly] | None = None) -> Poly:
     """Lambda_i * prod_{j != i} (q+_j)^(-a_{ji})."""
-    lam = (lambdas or build_lambdas(inst))[i - 1]
-    cmat = inst.cartan
-    out = lam
-    for j in range(1, inst.rank + 1):
-        if j == i:
-            continue
-        e = -cmat.a(j, i)
-        if e:
-            out = out * q_plus[j - 1] ** e
-    return out
+    return neighbor_product(inst.cartan, q_plus, i, (lambdas or build_lambdas(inst))[i - 1])
 
 
 def qq_residual(inst: QQInstance, sol: QQSolution, i: int) -> Poly:

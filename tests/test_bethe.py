@@ -96,6 +96,15 @@ class TestNewton:
         with pytest.raises(bq.PoleCollision):
             bq.solve_newton(inst, bq.BetheRoots.make(N, [[0]]))
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_singular_jacobian(self, seed):
+        # 1 + 1/(w - 1) + 1/(w + 1): the Jacobian is exactly 0 at w = i; from
+        # each jittered retry the first step throws w out to |w| ~ 1e47,
+        # where the Jacobian is below tau again
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (-1, (1,))], [Q(1, 2)])
+        with pytest.raises(bq.SingularJacobian):
+            bq.solve_newton(inst, bq.BetheRoots.make(N, [[[0, 1]]]), bq.SolveOptions(seed=seed))
+
     def test_iteration_log(self):
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])
         log = []

@@ -117,6 +117,25 @@ class TestCliVerify:
             _write(tmp_path, f"c{k}.solution.json", fileio.solution_to_doc(F, sol))
         assert main(["verify", str(tmp_path / "*.instance.json"), "--batch"]) == 0
 
+    def test_batch_isolates_a_malformed_file(self, tmp_path, capsys):
+        for k, builder in enumerate((a1_standard, None, a2_rational)):
+            if builder is None:
+                (tmp_path / f"c{k}.instance.json").write_text("{not json")
+                continue
+            inst, _, sol = builder()
+            _write(tmp_path, f"c{k}.instance.json", fileio.instance_to_doc(inst))
+            _write(tmp_path, f"c{k}.solution.json", fileio.solution_to_doc(F, sol))
+        assert main(["verify", str(tmp_path / "*.instance.json"), "--batch"]) == 2
+        captured = capsys.readouterr()
+        decoder, text, reports = json.JSONDecoder(), captured.out.strip(), []
+        while text:
+            doc, end = decoder.raw_decode(text)
+            reports.append(doc)
+            text = text[end:].strip()
+        assert [r["pass"] for r in reports] == [True, True]
+        (line,) = captured.err.strip().splitlines()
+        assert "c1.instance.json" in line and line.count("input error") == 1
+
 
 class TestCliSolve:
     def test_partition_solve(self, tmp_path, capsys):
@@ -143,6 +162,16 @@ class TestCliSolve:
         rpath = _write(tmp_path, "r.json", {"roots": [["-0.9"]]})
         assert main(["solve", ipath, rpath]) == 0
         capsys.readouterr()
+
+    def test_tol_sets_the_field_tau(self, tmp_path, capsys):
+        # Newton stops at --tol; completion and verify_bethe judge at the same tau
+        N = bq.NumericField(256)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (Q(1, 2), (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
+        ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
+        ppath = _write(tmp_path, "p.json", {"partition": [["0", "1/2"], ["3"]]})
+        assert main(["solve", ipath, ppath, "--tol", "1e-20"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_bad_partition_is_input_error_or_checkfail(self, tmp_path, capsys):
         N = bq.NumericField(256)
