@@ -3,9 +3,10 @@
 At infinite twist the Wronskian term drops out and the system factorizes:
 q+_j q-_j = Lambda_j prod (q+_k)^(-a_{kj}), so a solution is just a choice
 of which roots of the right-hand side belong to q+_j.  Each such choice
-seeds a continuation path back to the finite twist; damped Newton with an
-analytic Jacobian corrects the roots at every step of a geometric schedule
-(with adaptive bisection through branch turning points).
+seeds a continuation path back to the finite twist; each step predicts
+along the Euler tangent and damped Newton with an analytic Jacobian
+corrects the roots, the step size adapting to the path (it shrinks through
+branch turning points).
 """
 
 import betheqq as bq

@@ -78,9 +78,7 @@ class SolveOptions:
             raise ValueError("iteration and continuation counts must be positive")
 
     def damping_values(self, field: Field):
-        from fractions import Fraction
-
-        return [field(Fraction(d)) for d in self.damping]
+        return [field(d) for d in self.damping]
 
 
 def _collision_guard(field: Field, denom, what: str):
@@ -195,41 +193,55 @@ def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
             g = RationalFn.make(extra.deriv(), extra)
             diag = diag + g.deriv()(w)
         for col, (j, s) in enumerate(labels):
-            if (j, s) == (i, ell):
-                continue
             aji = cmat.a(j, i)
-            if aji == 0:
+            if aji == 0 or (j, s) == (i, ell):
                 continue
-            v = roots.roots[j - 1][s - 1]
-            diag = diag + field(aji) / (w - v) ** 2
-            jac[row][col] = -field(aji) / (w - v) ** 2
+            jac[row][col] = -field(aji) / (w - roots.roots[j - 1][s - 1]) ** 2
+            diag = diag - jac[row][col]
         jac[row][row] = diag
     return jac
 
 
+#: a Newton step longer than this many times 1 + max|w| counts as singular: it
+#: throws a root toward infinity, where the residual tends to |xi_i|
+_STEP_CAP = 2 ** 10
+_MIN_STEP = 2.0 ** -30  #: the smallest continuation step in the path parameter s
+
+
+def _newton_direction(field: Field, jac: list, rhs: list) -> list:
+    """Solve ``jac x = rhs`` by the one Gauss-Jordan elimination."""
+    a, pivots = _gauss_jordan(field, jac, rhs)
+    if len(pivots) < len(rhs):
+        raise SingularJacobian(f"Jacobian of rank {len(pivots)} < {len(rhs)}")
+    return [row[-1] / row[c] for row, c in zip(a, pivots)]
+
+
 def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None = None,
-                 log: list | None = None) -> BetheRoots:
+                 log: list | None = None, *, polish: bool = False,
+                 context: dict | None = None) -> BetheRoots:
     """Damped Newton iteration on the stacked Bethe residuals.
 
     Deterministic for a fixed (instance, init, options): the retry policy on
     a singular Jacobian perturbs all roots by seeded noise of magnitude
-    10x tolerance, at most three times.
+    10x tolerance, at most three times; a step longer than ``_STEP_CAP``
+    times 1 + max|w| counts as singular.  With ``polish``, full steps go on
+    past the tolerance while each at least halves the max residual.
+    ``context`` is added to every log record.
     """
     opts = opts or SolveOptions()
     field = inst.field
-    tol = field(opts.tolerance) if opts.tolerance is not None else field.tau
+    tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
     rng = random.Random(opts.seed)
     damps = opts.damping_values(field)
 
-    def resid_vec(rts: BetheRoots):
-        vals = []
-        for i in range(1, inst.rank + 1):
-            for ell in range(1, len(rts.roots[i - 1]) + 1):
-                vals.append(bethe_residual(inst, rts, i, ell))
-        return vals
+    def residuals(rts: BetheRoots):
+        rep = verify_bethe(inst, rts)
+        return list(rep.residuals.values()), rep.max_residual
 
-    def max_abs(vals):
-        return max((field.abs(v) for v in vals), default=field.abs(field.zero))
+    def record(it, worst, alpha, **extra):
+        if log is not None:
+            log.append({"step": it, "max_residual": float(worst), "damping": float(alpha),
+                        "precision": field.precision, **extra, **(context or {})})
 
     current = init
     if current.total() == 0:
@@ -237,44 +249,37 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
     for attempt in range(4):
         try:
             rts = current
-            res = resid_vec(rts)
-            worst = max_abs(res)
-            for it in range(opts.max_iterations):
-                if worst <= field.abs(tol):
-                    if log is not None:
-                        log.append({"step": it, "max_residual": float(worst), "damping": 1.0,
-                                    "precision": field.precision, "converged": True})
-                    return rts.canonical(field)
-                jac = bethe_jacobian(inst, rts)
-                a, pivots = _gauss_jordan(field, jac, [-v for v in res])
-                if len(pivots) < len(res):
-                    raise SingularJacobian(f"Jacobian of rank {len(pivots)} < {len(res)}")
-                delta = [row[-1] / row[c] for row, c in zip(a, pivots)]
+            res, worst = residuals(rts)
+            for it in range(opts.max_iterations + 1):
+                converged = worst <= tol
+                if converged and (not polish or worst == 0) or it == opts.max_iterations:
+                    break
                 flat = rts.flat()
-                accepted = False
-                for alpha in damps:
+                delta = _newton_direction(field, bethe_jacobian(inst, rts), [-v for v in res])
+                if max(field.abs(d) for d in delta) > _STEP_CAP * (1 + max(field.abs(w) for w in flat)):
+                    raise SingularJacobian("Newton step beyond the scale of the roots")
+                for alpha in [field(1)] if converged else damps:
                     trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
                     try:
-                        tres = resid_vec(trial)
+                        tres, tworst = residuals(trial)
                     except PoleCollision:
                         continue
-                    tworst = max_abs(tres)
-                    if tworst < worst or tworst <= field.abs(tol):
+                    if (tworst <= worst / 2) if converged else (tworst < worst or tworst <= tol):
                         rts, res, worst = trial, tres, tworst
-                        accepted = True
-                        if log is not None:
-                            log.append({"step": it, "max_residual": float(tworst),
-                                        "damping": float(alpha), "precision": field.precision})
+                        record(it, tworst, alpha)
                         break
-                if not accepted:
+                else:
+                    if converged:
+                        break
                     raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
-            if worst <= field.abs(tol):
-                return rts.canonical(field)
-            raise NoConvergence(f"residual {worst} after {opts.max_iterations} iterations")
+            if worst > tol:
+                raise NoConvergence(f"residual {worst} after {opts.max_iterations} iterations")
+            record(it, worst, 1, converged=True)
+            return rts.canonical(field)
         except SingularJacobian:
             if attempt == 3 or isinstance(field, ExactField):
                 raise
-            noise = field.abs(tol) * 10
+            noise = tol * 10
             jitter = []
             for w in current.flat():
                 re = field((2 * rng.random() - 1)) * noise
@@ -439,17 +444,22 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                       opts: SolveOptions | None = None, log: list | None = None) -> BetheRoots:
     """Track Bethe roots from the infinite system down to the target twist.
 
-    The twist is scaled geometrically from ``t_top`` down to 1 over
-    ``opts.continuation`` steps, Newton-correcting each step from the
-    previous roots; the starting configuration is the first-order
-    deformation of the infinite-system roots.  The path is tracked on a
-    shifted and rescaled copy of the instance in machine floats
-    (``MachineField``), or in the caller's field when the marked points
-    spread too wide for machine floats.  ``t_top = tau_root^(-1/2) / sigma``
-    of the tracking field, where sigma = min(1, min|xi| * spacing) of the
-    points, and each step is corrected to the tracking field's ``tau_root``
-    relative to the twist at that scale.  One Newton refinement in the
-    caller's field then brings the tracked roots to the caller's tolerance.
+    The first-order deformation of the infinite-system roots at twist scale
+    ``t_top`` starts a path along the seeded complex detour ``t(s) =
+    t_top^(1-s) exp(i bump s(1-s))``, s from 0 to 1.  Each step predicts
+    along the Euler tangent ``dw/ds = -J^-1 (dF/dt)(dt/ds)``, changing no
+    root gap by more than itself, and corrects with at most three Newton
+    iterations to the machine ``tau_root`` relative to the twist.  The step
+    starts at ``1 / (opts.continuation - 1)``, doubles after an accepted
+    step and halves after a rejected one; below ``_MIN_STEP`` the
+    corrector's last failure is raised (a collision as ``PathCollision``).
+    The path runs in machine floats (``MachineField``) on a shifted and
+    rescaled copy of the instance, or in the caller's field when the points
+    spread too wide, from ``t_top = tau_root^(-1/2) / sigma`` of the tracking
+    field, sigma = min(1, min|xi| * spacing).  A refinement in the caller's
+    field polishes the roots to its precision floor.  Log records carry
+    ``"phase"`` (``"track"`` or ``"refine"``); tracking records also carry
+    ``"s"`` and the step ``"h"``.
     """
     opts = opts or SolveOptions()
     field = inst.field
@@ -465,82 +475,86 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
 
     # The equations keep their form under w, z -> c (w - b), xi -> xi / c
     # (partitioned cofactors are constants).  The tracked copy has max|xi| =
-    # sigma = min(1, min|xi| * spacing) and its points at least 1 apart, so
-    # from t_top = tau_root^(-1/2) / sigma every seed starts at least
-    # tau_root^(1/2) from its source and at most tau_root^(1/2) times the
-    # spacing.  Each step rescales the coordinates again (``correct``), so the
-    # guards and pivot thresholds of the tracking field act relative to the
-    # geometry.  The path is tracked in machine floats unless the points
-    # spread too wide for a unit seed offset to be resolved to tau there.
+    # sigma and its points at least 1 apart, so from t_top every seed starts
+    # between tau_root^(1/2) and tau_root^(1/2) times the spacing from its
+    # source.  Each step rescales again (``correct``), so the guards and pivot
+    # thresholds of the tracking field act relative to the geometry.
     mags = [field.abs(x) for x in xis]
     zs = [z for z, _ in inst.points]
     dists = [field.abs(u - v) for k, u in enumerate(zs) for v in zs[k + 1:]]
     sigma = min(1, min(mags) * min(dists)) if dists else 1
     c = max(mags) / sigma
     b = sum(zs, field.zero) / len(zs)
-    track = MachineField()
-    if dists and c * max(dists) > track.tau_root ** 0.5 / track.tau:
+    track = mach = MachineField()
+    if dists and c * max(dists) > mach.tau_root ** 0.5 / mach.tau:
         track = field
     target = QQInstance.make(inst.ctype, track, [(c * (z - b), e) for z, e in inst.points],
                              [x / c for x in inst.twist.zeta], inst.lead,
                              [None if e is None else Poly.make(track, e.coeffs) for e in inst.extra])
     part = InfinitePartition.make(track, [[c * (w - b) for w in ws] for ws in part.w_sets])
-    steps = max(1, opts.continuation)
     ctx = track.ctx
     t_top = track.tau_root ** -0.5 / track(sigma).real
     # detour the scale through the complex plane (seeded), so the path avoids
     # the real discriminant locus where tracked roots would collide
     rng = random.Random(f"{opts.seed}-gamma")
     bump = ctx.mpf(rng.uniform(0.8, 2.4)) * (1 if rng.random() < 0.5 else -1)
-    scales = []
-    for m in range(steps):
-        s = ctx.mpf(m) / max(1, steps - 1)
-        scales.append(t_top ** (1 - s) * ctx.exp(ctx.mpc(0, 1) * bump * s * (1 - s)))
-    inner = replace(opts, max_iterations=min(12, opts.max_iterations))
+    ladder = replace(opts, damping=tuple(opts.damping_values(track)))
+    inner = replace(ladder, max_iterations=min(3, opts.max_iterations))
     lo = min(abs(x) for x in target.xis())
-    budget = [64 * steps]
+
+    def scale(s):
+        return t_top ** (1 - s) * ctx.exp(ctx.mpc(0, 1) * bump * s * (1 - s))
 
     def at_scale(t, k):
         """The tracked copy at twist scale t, in coordinates multiplied by k."""
         return replace(target, points=tuple((k * z, e) for z, e in target.points),
                        twist=Twist(track, tuple(z * t / k for z in target.twist.zeta)))
 
-    def correct(roots, k, t, step_opts):
+    def correct(roots, k, s, h, step_opts):
         # keep the closest pair that may not collide within [1/16, 16] by
-        # rescaling to 1 apart, then correct to tau_root relative to the
-        # smallest |xi| at this scale (at least tau_root^2, above the
-        # rounding of unit-size terms)
+        # rescaling to 1 apart, then correct to the machine tau_root relative
+        # to the smallest |xi| at this scale (at least tau_root^2)
+        t = scale(s)
         at = at_scale(t, k)
         gap = min(abs(g) for g, _ in _root_gaps(at, roots))
         if not 1 / 16 <= gap <= 16 and gap > 0:
             roots = BetheRoots(tuple(tuple(w / gap for w in color) for color in roots.roots))
             k = k / gap
             at = at_scale(t, k)
-        tol = track.tau_root * max(track.tau_root, lo * abs(t) / k)
-        return solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log), k
+        tol = mach.tau_root * max(mach.tau_root, lo * abs(t) / k)
+        return solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log,
+                            context={"phase": "track", "s": s, "h": h}), k
 
-    def advance(roots, k, t_from, t_to, depth):
-        if budget[0] <= 0:
-            raise NoConvergence("continuation budget exhausted")
-        budget[0] -= 1
-        try:
-            return correct(roots, k, t_to, inner)
-        except (NoConvergence, SingularJacobian, PoleCollision) as exc:
-            if depth >= 40:
-                if isinstance(exc, PoleCollision):
-                    raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
-                raise
-            t_mid = ctx.sqrt(t_from * t_to)
-            mid, k = advance(roots, k, t_from, t_mid, depth + 1)
-            return advance(mid, k, t_mid, t_to, depth + 1)
-
-    top = at_scale(scales[0], 1)
-    roots, k = correct(_seed_positions(top, part, top.xis()), 1, scales[0], opts)
-    for m in range(1, steps):
-        roots, k = advance(roots, k, scales[m - 1], scales[m], 0)
-    # one refinement in the caller's field under the caller's options
-    roots = BetheRoots(tuple(tuple(field(w) / (c * k) + b for w in color) for color in roots.roots))
-    return solve_newton(inst, roots, opts, log=log)
+    try:
+        top = at_scale(scale(0.0), 1)
+        roots, k = correct(_seed_positions(top, part, top.xis()), 1, 0.0, 0.0, ladder)
+        s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
+        while s < 1:
+            if h < _MIN_STEP:  # the corrector's last failure, else a collision
+                raise failure or PathCollision(f"continuation step below {_MIN_STEP} at s = {s}")
+            if tangent is None:
+                # Euler predictor: F(w, t(s)) = 0 with dF_i/dt = xi_i / t at scale t
+                at = at_scale(scale(s), k)
+                dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
+                rhs = [-at.xi(i) * dlog for i, color in enumerate(roots.roots, start=1) for _ in color]
+                tangent = _newton_direction(track, bethe_jacobian(at, roots), rhs)
+                gaps = [g for g, _ in _root_gaps(at, roots)]
+            nxt = min(1.0, s + h)
+            pred = roots.replace_flat([w + (nxt - s) * d for w, d in zip(roots.flat(), tangent)])
+            # no gap may change by more than itself: guards against path jumping
+            if any(abs(g - g0) > abs(g0) for (g, _), g0 in zip(_root_gaps(at, pred), gaps)):
+                h /= 2
+                continue
+            try:
+                roots, k = correct(pred, k, nxt, h, inner)
+                s, h, tangent, failure = nxt, 2 * h, None, None
+            except (NoConvergence, SingularJacobian, PoleCollision) as exc:
+                h, failure = h / 2, exc
+        # one refinement in the caller's field under the caller's options
+        roots = BetheRoots(tuple(tuple(field(w) / (c * k) + b for w in color) for color in roots.roots))
+        return solve_newton(inst, roots, opts, log=log, polish=True, context={"phase": "refine"})
+    except PoleCollision as exc:
+        raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
 
 
 def roots_to_solution(inst: QQInstance, roots: BetheRoots,

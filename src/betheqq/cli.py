@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", parents=[common], help="solve Bethe equations from a partition or initial roots")
     p.add_argument("instance")
     p.add_argument("start", help="JSON file with a 'partition' or 'roots' key")
-    p.add_argument("--steps", type=int, default=64, help="continuation steps")
+    p.add_argument("--steps", type=int, default=64, help="first continuation step 1/(N-1), then adaptive")
     p.add_argument("--out", default=None, help="write the solution file here")
     p.set_defaults(fn=cmd_solve)
 

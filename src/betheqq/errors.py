@@ -35,7 +35,7 @@ class PoleCollision(BetheqqError):
 
 
 class NoConvergence(BetheqqError):
-    """Iteration budget exhausted before the residual tolerance was met."""
+    """Iterations ran out before the residual tolerance was met."""
 
 
 class SingularJacobian(BetheqqError):

@@ -45,11 +45,6 @@ class Poly:
     def const(field: Field, value) -> "Poly":
         return Poly.make(field, [value])
 
-    @staticmethod
-    def ident(field: Field) -> "Poly":
-        """The polynomial z."""
-        return Poly.make(field, [0, 1])
-
     # -- shape ------------------------------------------------------------
 
     @property
@@ -129,12 +124,6 @@ class Poly:
     def monic(self) -> "Poly":
         lead = self.lc()
         return Poly(self.field, tuple(c / lead for c in self.coeffs))
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by z**k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
 
     def __call__(self, x):
         """Horner evaluation."""

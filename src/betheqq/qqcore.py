@@ -14,12 +14,13 @@ twist Z^H.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InconsistentSystem, UnsupportedType
 from .polyalg import Poly, chop, coprime_check, distinct_roots_check, solve_linear_system
 from .polyalg import wronskian as wr
-from .rootsys import CartanMatrix, CartanType, Twist, cartan_matrix, pairing, twist_from_pairings
+from .rootsys import CartanMatrix, CartanType, Twist, cartan_matrix, pairings, twist_from_pairings
 from .scalars import Field
 
 
@@ -78,11 +79,17 @@ class QQInstance:
     def cartan(self) -> CartanMatrix:
         return self.ctype.cartan
 
+    @cached_property
+    def _pairings(self) -> tuple:
+        return pairings(self.twist, self.cartan)
+
     def xi(self, i: int):
-        return pairing(i, self.twist, self.cartan)
+        if not 1 <= i <= self.rank:
+            raise IndexError(f"color index {i} out of range 1..{self.rank}")
+        return self._pairings[i - 1]
 
     def xis(self) -> tuple:
-        return tuple(self.xi(i) for i in range(1, self.rank + 1))
+        return self._pairings
 
     def with_twist(self, twist: Twist) -> "QQInstance":
         return replace(self, twist=twist)

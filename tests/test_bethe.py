@@ -97,13 +97,26 @@ class TestNewton:
             bq.solve_newton(inst, bq.BetheRoots.make(N, [[0]]))
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_singular_jacobian(self, seed):
+    def test_singular_jacobian(self, seed, monkeypatch):
         # 1 + 1/(w - 1) + 1/(w + 1): the Jacobian is exactly 0 at w = i; from
-        # each jittered retry the first step throws w out to |w| ~ 1e47,
-        # where the Jacobian is below tau again
+        # each jittered retry the first step would throw w out to |w| ~ 1e47,
+        # and the step cap refuses it as singular before any root gets there
+        import betheqq.bethe
+
+        residual = betheqq.bethe.bethe_residual
+        seen = []
+
+        def spying(inst, roots, i, ell):
+            seen.append(abs(roots.roots[i - 1][ell - 1]))
+            return residual(inst, roots, i, ell)
+
+        monkeypatch.setattr(betheqq.bethe, "bethe_residual", spying)
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (-1, (1,))], [Q(1, 2)])
+        log = []
         with pytest.raises(bq.SingularJacobian):
-            bq.solve_newton(inst, bq.BetheRoots.make(N, [[[0, 1]]]), bq.SolveOptions(seed=seed))
+            bq.solve_newton(inst, bq.BetheRoots.make(N, [[[0, 1]]]), bq.SolveOptions(seed=seed), log=log)
+        assert log == []
+        assert seen and max(seen) < 2
 
     def test_iteration_log(self):
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])
@@ -111,6 +124,18 @@ class TestNewton:
         bq.solve_newton(inst, bq.BetheRoots.make(N, [[N("-0.8")]]), log=log)
         assert log and all({"step", "max_residual", "damping", "precision"} <= set(r) for r in log)
         assert {r["precision"] for r in log} == {256}
+
+    def test_continuation_log_context(self):
+        # each record names its phase; tracking records also carry s and the step h
+        inst = a1_two_points(N)
+        log = []
+        bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[2]]), bq.SolveOptions(seed=3), log=log)
+        track = [r for r in log if r["phase"] == "track"]
+        refine = [r for r in log if r["phase"] == "refine"]
+        assert track and refine and len(track) + len(refine) == len(log)
+        assert all({"s", "h"} <= set(r) for r in track)
+        assert track[-1]["s"] == 1 and all(0 <= r["s"] <= 1 and r["h"] >= 0 for r in track)
+        assert all(r["precision"] == 256 for r in refine)
 
 
 class TestInfiniteSystem:
@@ -256,6 +281,27 @@ class TestContinuation:
                                      bq.SolveOptions(seed=3))
         assert bq.verify_bethe(inst, roots).ok
         assert 0 < len(at_target) <= 6
+
+    def test_newton_work_per_path(self):
+        # the A2 fixture of test_target_precision_only_refines: the Euler
+        # predictor with an adaptive step needs at most 96 Newton iterations
+        # (192 with the fixed 64-step schedule)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
+        log = []
+        bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [3]]),
+                             bq.SolveOptions(seed=3), log=log)
+        assert 0 < sum(1 for r in log if not r.get("converged")) <= 96
+
+    def test_initial_step_does_not_move_the_answer(self):
+        # --steps only sets the first step; 8 and 256 land on the same roots
+        found = []
+        for steps in (8, 256):
+            inst, part = random_bijection_case(random.Random(9004), 2, N)
+            found.append(bq.seed_and_continue(inst, part, bq.SolveOptions(seed=4, continuation=steps)))
+        for a, b in zip(*(r.roots for r in found)):
+            for w in a:
+                assert min(abs(w - v) for v in b) < N.ctx.mpf("1e-40")
 
     def test_exact_backend_rejected(self):
         inst = a1_two_points(F)

@@ -173,6 +173,21 @@ class TestCliSolve:
         assert main(["solve", ipath, ppath, "--tol", "1e-20"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    def test_solver_collision_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a PoleCollision met while tracking is a solver failure, not an input error
+        import betheqq.bethe
+
+        def colliding(*args, **kwargs):
+            raise bq.PoleCollision("vanishing denominator")
+
+        monkeypatch.setattr(betheqq.bethe, "solve_newton", colliding)
+        N = bq.NumericField(256)
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
+        ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
+        ppath = _write(tmp_path, "p.json", {"partition": [["2"]]})
+        assert main(["solve", ipath, ppath]) == 3
+        assert "solver failed" in capsys.readouterr().err
+
     def test_bad_partition_is_input_error_or_checkfail(self, tmp_path, capsys):
         N = bq.NumericField(256)
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
