@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
+
 from .errors import PoleCollision, ZeroDenominator
 from .scalars import ExactField, Field
 
@@ -94,11 +97,17 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        field = self.field
+        ctx = getattr(field, "ctx", None)
+        if isinstance(ctx, MPContext):
+            out = _mp_product(ctx, self.coeffs, other.coeffs)
+            if out is not None:
+                return Poly(field, out)
+        out = [field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly.make(self.field, out)
+        return Poly.make(field, out)
 
     def scale(self, c) -> "Poly":
         c = self.field(c)
@@ -109,14 +118,16 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(self.field, 1)
-        base = self
-        while n:
+        if n == 0:
+            return Poly.const(self.field, 1)
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def deriv(self) -> "Poly":
         return Poly.make(self.field, [k * c for k, c in enumerate(self.coeffs)][1:])
@@ -172,6 +183,68 @@ class Poly:
                 continue
             terms.append(f"({c})*z^{k}" if k else f"({c})")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _mp_parts(ctx: MPContext, coeffs: Sequence):
+    """Raw ``(re, im)`` mpf tuples of ``coeffs``, or None unless every entry
+    is a finite mpf or mpc of ``ctx``."""
+    mpf, mpc = ctx.mpf, ctx.mpc
+    parts = []
+    for c in coeffs:
+        kind = type(c)
+        if kind is mpc:
+            re, im = c._mpc_
+        elif kind is mpf:
+            re, im = c._mpf_, fzero
+        else:
+            return None
+        if (re[2] and not re[1]) or (im[2] and not im[1]):  # inf or nan
+            return None
+        parts.append((re, im))
+    return parts
+
+
+def _mp_dot2(x1, y1, x2, y2, prec: int, rnd: str):
+    """x1*y1 + x2*y2 from exact products, rounded once; None when both are 0."""
+    if not (x2[1] and y2[1]):
+        return mpf_mul(x1, y1, prec, rnd) if x1[1] and y1[1] else None
+    if not (x1[1] and y1[1]):
+        return mpf_mul(x2, y2, prec, rnd)
+    return mpf_add(mpf_mul(x1, y1), mpf_mul(x2, y2), prec, rnd)
+
+
+def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
+    """Coefficients of the product of two nonzero coefficient vectors of
+    ``ctx`` scalars, as a trimmed tuple of mpc; None when
+    :func:`_mp_parts` rejects an operand.
+
+    Bit for bit the loop ``out[i + j] = out[i + j] + a[i] * b[j]`` over
+    mpc values, on the raw tuples: each component of a term is its exact
+    products summed and rounded once, as in mpmath's ``mpc_mul``, then
+    added to its accumulator with one more rounding.  Exactly zero
+    products are skipped, as mpmath's ``mpc_mul_mpf`` never forms those of
+    a real factor's zero imaginary part; the roundings that remain are the
+    same, so real operands cost one rounded product and one rounded sum.
+    """
+    pa, pb = _mp_parts(ctx, a), _mp_parts(ctx, b)
+    if pa is None or pb is None:
+        return None
+    prec, rnd = ctx._prec_rounding
+    n = len(pa) + len(pb) - 1
+    re, im = [fzero] * n, [fzero] * n
+    pb = [(br, bi, mpf_neg(bi)) for br, bi in pb]  # re = ar*br + ai*(-bi)
+    for i, (ar, ai) in enumerate(pa):
+        for k, (br, bi, nbi) in enumerate(pb, i):
+            t = _mp_dot2(ar, br, ai, nbi, prec, rnd)
+            if t is not None:
+                re[k] = mpf_add(re[k], t, prec, rnd)
+            t = _mp_dot2(ar, bi, ai, br, prec, rnd)
+            if t is not None:
+                im[k] = mpf_add(im[k], t, prec, rnd)
+    while n and not re[n - 1][1] and not im[n - 1][1]:
+        n -= 1
+    make = ctx.make_mpc
+    return tuple(make(z) for z in zip(re[:n], im[:n]))
 
 
 def chop(p: Poly, scale=None) -> Poly:

@@ -83,6 +83,20 @@ class QQInstance:
     def _pairings(self) -> tuple:
         return pairings(self.twist, self.cartan)
 
+    @cached_property
+    def _lambdas(self) -> tuple:
+        field = self.field
+        out = []
+        for i in range(self.rank):
+            p = Poly.const(field, self.lead[i])
+            for z, exps in self.points:
+                if exps[i]:
+                    p = p * Poly.make(field, [-z, 1]) ** exps[i]
+            if self.extra[i] is not None:
+                p = p * self.extra[i]
+            out.append(p)
+        return tuple(out)
+
     def xi(self, i: int):
         if not 1 <= i <= self.rank:
             raise IndexError(f"color index {i} out of range 1..{self.rank}")
@@ -124,18 +138,8 @@ class NondegReport:
 
 
 def build_lambdas(inst: QQInstance) -> tuple:
-    """Expanded singularity polynomials Lambda_i."""
-    field = inst.field
-    out = []
-    for i in range(inst.rank):
-        p = Poly.const(field, inst.lead[i])
-        for z, exps in inst.points:
-            if exps[i]:
-                p = p * Poly.make(field, [-z, 1]) ** exps[i]
-        if inst.extra[i] is not None:
-            p = p * inst.extra[i]
-        out.append(p)
-    return tuple(out)
+    """Expanded singularity polynomials Lambda_i, built once per instance."""
+    return inst._lambdas
 
 
 def neighbor_product(cmat: CartanMatrix, factors: Sequence, i: int, base):
@@ -157,27 +161,34 @@ def qq_rhs(inst: QQInstance, q_plus: Sequence[Poly], i: int,
     return neighbor_product(inst.cartan, q_plus, i, (lambdas or build_lambdas(inst))[i - 1])
 
 
+def _qq_terms(inst: QQInstance, sol: QQSolution, i: int) -> tuple:
+    """W(q+_i, q-_i), xi_i q+_i q-_i and the right-hand side of equation i."""
+    qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
+    return wr(qp, qm), (qp * qm).scale(inst.xi(i)), qq_rhs(inst, sol.q_plus, i)
+
+
 def qq_residual(inst: QQInstance, sol: QQSolution, i: int) -> Poly:
     """LHS - RHS of the i-th equation; the zero polynomial iff it holds."""
-    qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
-    lhs = wr(qp, qm) + (qp * qm).scale(inst.xi(i))
-    return lhs - qq_rhs(inst, sol.q_plus, i)
+    w, x, rhs = _qq_terms(inst, sol, i)
+    return w + x - rhs
 
 
 def qq_residual_scale(inst: QQInstance, sol: QQSolution, i: int):
     """Coefficient scale of the i-th equation, for relative zero tests."""
-    qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
-    parts = [wr(qp, qm).norm(), (qp * qm).scale(inst.xi(i)).norm(),
-             qq_rhs(inst, sol.q_plus, i).norm()]
-    return max(parts)
+    return max(t.norm() for t in _qq_terms(inst, sol, i))
 
 
 def equation_holds(inst: QQInstance, sol: QQSolution, i: int, res: Poly | None = None) -> bool:
     """Whether the i-th equation holds: its residual ``res`` (computed when
     not given) is zero, or negligible against the equation's scale."""
+    terms = None
     if res is None:
-        res = qq_residual(inst, sol, i)
-    return res.is_zero or inst.field.is_zero(res.norm(), scale=qq_residual_scale(inst, sol, i))
+        w, x, rhs = terms = _qq_terms(inst, sol, i)
+        res = w + x - rhs
+    if res.is_zero:
+        return True
+    terms = terms or _qq_terms(inst, sol, i)
+    return inst.field.is_zero(res.norm(), scale=max(t.norm() for t in terms))
 
 
 def residuals_vanish(inst: QQInstance, sol: QQSolution) -> bool:

@@ -116,6 +116,107 @@ class TestBackendAgreement:
                 assert abs(N(he.coeff(k)) - hn.coeff(k)) <= N.tau * 4
 
 
+def scalar_product(p, q):
+    """The schoolbook product as one scalar operation per term."""
+    out = [p.field.zero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly.make(p.field, out)
+
+
+def raw_bits(p):
+    """The raw (re, im) mpf tuples of every coefficient, an mpf as (x, 0)."""
+    zero = (0, 0, 0, 0)
+    return [getattr(c, "_mpc_", None) or (c._mpf_, zero) for c in p.coeffs]
+
+
+class TestNumericProduct:
+    @staticmethod
+    def rand_scalar(rng, ctx, kind):
+        def mag():
+            x = ctx.mpf(rng.randint(1, 10 ** 12)) / rng.choice((3, 7, 11))
+            return rng.choice((-1, 1)) * ctx.ldexp(x, rng.randint(-400, 400))
+
+        if kind == "zero":
+            return rng.choice((ctx.mpf(0), ctx.mpc(0)))
+        if kind == "mpf":
+            return mag()
+        if kind == "real":
+            return ctx.mpc(mag(), 0)
+        if kind == "imag":
+            return ctx.mpc(0, mag())
+        return ctx.mpc(mag(), mag())
+
+    def rand_poly(self, rng, field, kinds, deg):
+        ctx = field.ctx
+        coeffs = [self.rand_scalar(rng, ctx, rng.choice(kinds)) for _ in range(deg)]
+        lead = self.rand_scalar(rng, ctx, rng.choice([k for k in kinds if k != "zero"] or ["mpc"]))
+        return Poly(field, tuple(coeffs) + (lead,))
+
+    @pytest.mark.parametrize("prec", [24, 53, 256, 512])
+    def test_bit_identical_to_scalar_loop(self, prec):
+        field = bq.NumericField(prec)
+        rng = random.Random(prec)
+        mixes = [("mpf", "real", "imag", "mpc", "zero"), ("mpf", "real", "zero"), ("imag", "zero"),
+                 ("mpc",), ("mpf",)]
+        for trial in range(60):
+            kinds = mixes[trial % len(mixes)]
+            p = self.rand_poly(rng, field, kinds, rng.randint(0, 5))
+            q = self.rand_poly(rng, field, rng.choice(mixes), rng.randint(0, 5))
+            got, want = p * q, scalar_product(p, q)
+            assert raw_bits(got) == raw_bits(want), (prec, trial)
+            assert all(type(c) is field.ctx.mpc for c in got.coeffs)
+
+    def test_exact_zeros_inside_kept_at_the_top_trimmed(self):
+        field = bq.NumericField(256)
+        ctx = field.ctx
+        p, r = Poly.make(field, [1, (0, 1)]), Poly.make(field, [1, (0, -1)])  # 1 + iz, 1 - iz
+        assert raw_bits(p * r) == raw_bits(scalar_product(p, r))
+        assert (p * r).degree() == 2 and (p * r).coeffs[1] == 0
+        zero_top = Poly(field, (ctx.mpc(2, 1), ctx.mpf(0)))
+        q = Poly(field, (ctx.mpf(3), ctx.mpc(0)))
+        assert raw_bits(zero_top * q) == raw_bits(scalar_product(zero_top, q))
+        assert (zero_top * q).degree() == 0
+
+    def test_non_finite_and_foreign_entries_match(self):
+        field = bq.NumericField(128)
+        ctx = field.ctx
+        other = bq.NumericField(64).ctx
+        cases = [
+            Poly(field, (ctx.mpf(0), ctx.inf)),
+            Poly(field, (ctx.mpc(1, 0), ctx.mpc(ctx.nan, 2))),
+            Poly(field, (3, ctx.mpf(2))),
+            Poly(field, (other.mpf(1) / 3, ctx.mpf(1))),
+        ]
+        q = Poly(field, (ctx.mpc(0, 1), ctx.mpf(0), ctx.mpf(5) / 3))
+        for p in cases:
+            assert raw_bits(p * q) == raw_bits(scalar_product(p, q))
+
+    @pytest.mark.parametrize("field", [F, bq.NumericField(256)], ids=["exact", "numeric"])
+    def test_power_matches_repeated_products(self, field):
+        rng = random.Random(15)
+        p = rand_poly(rng, 3, field)
+        one = Poly.const(field, 1)
+        naive = one
+        for n in range(6):
+            got = p ** n
+            if isinstance(field, bq.ExactField):
+                assert got.coeffs == naive.coeffs
+            else:
+                assert (got - naive).norm() <= field.tau * naive.norm()
+                # bit for bit: square-and-multiply from the constant 1
+                want, base, k = one, p, n
+                while k:
+                    if k & 1:
+                        want = want * base
+                    base, k = base * base, k >> 1
+                assert raw_bits(got) == raw_bits(want), n
+            naive = naive * p
+        with pytest.raises(ValueError):
+            p ** -1
+
+
 class TestZeroHandling:
     def test_zero_poly_is_distinguished(self):
         z = Poly.zero(F)
