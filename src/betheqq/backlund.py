@@ -172,10 +172,9 @@ def apply_simple(inst: QQInstance, sol: QQSolution, i: int
     q_minus = list(sol.q_minus)
     q_plus[i - 1] = qm.monic()
     q_minus[i - 1] = sol.q_plus[i - 1].scale(-lam)
-    lambdas = build_lambdas(new_inst)
     for j in range(1, inst.rank + 1):
         if j != i:
-            q_minus[j - 1] = _complete_color(new_inst, q_plus, j, lambdas)
+            q_minus[j - 1] = _complete_color(new_inst, q_plus, j)
     return new_inst, QQSolution.make(q_plus, q_minus)
 
 

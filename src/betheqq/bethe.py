@@ -112,23 +112,18 @@ def _root_gaps(inst: QQInstance, roots: BetheRoots):
 def bethe_residual(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
     """The (i, ell)-th residual as an explicit sum over poles."""
     field = inst.field
-    cmat = inst.cartan
     w = roots.roots[i - 1][ell - 1]
     acc = inst.xi(i)
-    for z, exps in inst.points:
-        if exps[i - 1]:
-            acc = acc + field(exps[i - 1]) / _collision_guard(field, w - z, f"w - z ({i},{ell})")
+    for z, e in inst._poles[i - 1]:
+        acc = acc + e / _collision_guard(field, w - z, f"w - z ({i},{ell})")
     extra = inst.extra[i - 1]
     if extra is not None and extra.degree() > 0:
         acc = acc + extra.deriv()(w) / _collision_guard(field, extra(w), f"cofactor ({i},{ell})")
-    for j in range(1, inst.rank + 1):
-        aji = cmat.a(j, i)
-        if aji == 0:
-            continue
+    for j, aji in inst._couplings[i - 1].items():
         for s, v in enumerate(roots.roots[j - 1], start=1):
             if (j, s) == (i, ell):
                 continue
-            acc = acc - field(aji) / _collision_guard(field, w - v, f"w - w ({i},{ell})/({j},{s})")
+            acc = acc - aji / _collision_guard(field, w - v, f"w - w ({i},{ell})/({j},{s})")
     return acc
 
 
@@ -178,25 +173,23 @@ def verify_bethe(inst: QQInstance, roots: BetheRoots, tolerance=None) -> BetheRe
 def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
     """Analytic Jacobian of the stacked residual vector in the flat root order."""
     field = inst.field
-    cmat = inst.cartan
     labels = [(i, s) for i in range(1, inst.rank + 1) for s in range(1, len(roots.roots[i - 1]) + 1)]
     n = len(labels)
     jac = [[field.zero] * n for _ in range(n)]
     for row, (i, ell) in enumerate(labels):
         w = roots.roots[i - 1][ell - 1]
         diag = field.zero
-        for z, exps in inst.points:
-            if exps[i - 1]:
-                diag = diag - field(exps[i - 1]) / (w - z) ** 2
+        for z, e in inst._poles[i - 1]:
+            diag = diag - e / (w - z) ** 2
         extra = inst.extra[i - 1]
         if extra is not None and extra.degree() > 0:
             g = RationalFn.make(extra.deriv(), extra)
             diag = diag + g.deriv()(w)
+        couplings = inst._couplings[i - 1]
         for col, (j, s) in enumerate(labels):
-            aji = cmat.a(j, i)
-            if aji == 0 or (j, s) == (i, ell):
+            if j not in couplings or (j, s) == (i, ell):
                 continue
-            jac[row][col] = -field(aji) / (w - roots.roots[j - 1][s - 1]) ** 2
+            jac[row][col] = -couplings[j] / (w - roots.roots[j - 1][s - 1]) ** 2
             diag = diag - jac[row][col]
         jac[row][row] = diag
     return jac

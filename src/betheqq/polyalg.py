@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
+from mpmath.libmp import from_man_exp, fzero
 
 from .errors import PoleCollision, ZeroDenominator
 from .scalars import ExactField, Field
@@ -186,31 +186,80 @@ class Poly:
 
 
 def _mp_parts(ctx: MPContext, coeffs: Sequence):
-    """Raw ``(re, im)`` mpf tuples of ``coeffs``, or None unless every entry
-    is a finite mpf or mpc of ``ctx``."""
+    """``(re_man, re_exp, im_man, im_exp)`` with signed integer mantissas for
+    each of ``coeffs``, or None unless every entry is a finite mpf or mpc of
+    ``ctx`` and ``ctx`` rounds to nearest."""
+    if ctx._prec_rounding[1] != "n":
+        return None
     mpf, mpc = ctx.mpf, ctx.mpc
     parts = []
     for c in coeffs:
         kind = type(c)
         if kind is mpc:
-            re, im = c._mpc_
+            (rs, rm, re, _), (js, jm, je, _) = c._mpc_
         elif kind is mpf:
-            re, im = c._mpf_, fzero
+            (rs, rm, re, _), js, jm, je = c._mpf_, 0, 0, 0
         else:
             return None
-        if (re[2] and not re[1]) or (im[2] and not im[1]):  # inf or nan
+        if (re and not rm) or (je and not jm):  # inf or nan
             return None
-        parts.append((re, im))
+        parts.append((-rm if rs else rm, re, -jm if js else jm, je))
     return parts
 
 
-def _mp_dot2(x1, y1, x2, y2, prec: int, rnd: str):
-    """x1*y1 + x2*y2 from exact products, rounded once; None when both are 0."""
-    if not (x2[1] and y2[1]):
-        return mpf_mul(x1, y1, prec, rnd) if x1[1] and y1[1] else None
-    if not (x1[1] and y1[1]):
-        return mpf_mul(x2, y2, prec, rnd)
-    return mpf_add(mpf_mul(x1, y1), mpf_mul(x2, y2), prec, rnd)
+def _rn(m: int, e: int, prec: int):
+    """``m * 2**e`` rounded to ``prec`` bits, ties to even (mpmath's
+    ``round_nearest``), as ``(m, e)``."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    q = m >> (n - 1)
+    if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)):
+        return (q >> 1) + 1, e + n
+    return q >> 1, e + n
+
+
+def _rn_add(m: int, e: int, t: int, te: int, prec: int):
+    """The rounded sum of two values of at most ``prec`` significant bits.
+
+    mpmath's ``mpf_add`` rounds such a sum correctly.  An operand more than
+    ``2 * prec + 4`` binades below the other cannot move it and is dropped.
+    """
+    if not t:
+        return m, e
+    if not m:
+        return t, te
+    d = e - te
+    if d > 2 * prec + 4:
+        return m, e
+    if d < -2 * prec - 4:
+        return t, te
+    if d > 0:
+        return _rn((m << d) + t, te, prec)
+    return _rn(m + (t << -d), e, prec)
+
+
+def _rn_dot(p: int, pe: int, q: int, qe: int, prec: int):
+    """``p * 2**pe + q * 2**qe`` for exact products, rounded as ``mpf_add``.
+
+    When the exponents differ by more than 100 and the leading bits by more
+    than ``prec + 4``, mpmath replaces the far operand by a sticky unit
+    below the near one, ``near << (prec + 4)`` plus or minus 1, and rounds
+    that.  On a near operand longer than ``prec`` bits this is not always
+    the correctly rounded sum, so it is copied here, not improved.
+    """
+    if not q:
+        return _rn(p, pe, prec)
+    if not p:
+        return _rn(q, qe, prec)
+    d = pe - qe
+    if d > 100 and d + p.bit_length() - q.bit_length() > prec + 4:
+        return _rn((p << (prec + 4)) + (1 if q > 0 else -1), pe - prec - 4, prec)
+    if d < -100 and q.bit_length() - p.bit_length() - d > prec + 4:
+        return _rn((q << (prec + 4)) + (1 if p > 0 else -1), qe - prec - 4, prec)
+    if d >= 0:
+        return _rn((p << d) + q, qe, prec)
+    return _rn(p + (q << -d), pe, prec)
 
 
 def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
@@ -219,32 +268,67 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
     :func:`_mp_parts` rejects an operand.
 
     Bit for bit the loop ``out[i + j] = out[i + j] + a[i] * b[j]`` over
-    mpc values, on the raw tuples: each component of a term is its exact
-    products summed and rounded once, as in mpmath's ``mpc_mul``, then
-    added to its accumulator with one more rounding.  Exactly zero
-    products are skipped, as mpmath's ``mpc_mul_mpf`` never forms those of
-    a real factor's zero imaginary part; the roundings that remain are the
-    same, so real operands cost one rounded product and one rounded sum.
+    mpc values, on integer mantissas: each coefficient adds its terms in
+    order of increasing ``i``.  A term's component is its exact products
+    summed and rounded once, as in mpmath's ``mpc_mul``, then added to the
+    accumulator with one more rounding.  Exactly zero products are skipped,
+    as mpmath's ``mpc_mul_mpf`` never forms those of a real factor's zero
+    imaginary part, so a real term costs one rounded product and one
+    rounded sum.
     """
     pa, pb = _mp_parts(ctx, a), _mp_parts(ctx, b)
     if pa is None or pb is None:
         return None
-    prec, rnd = ctx._prec_rounding
-    n = len(pa) + len(pb) - 1
-    re, im = [fzero] * n, [fzero] * n
-    pb = [(br, bi, mpf_neg(bi)) for br, bi in pb]  # re = ar*br + ai*(-bi)
-    for i, (ar, ai) in enumerate(pa):
-        for k, (br, bi, nbi) in enumerate(pb, i):
-            t = _mp_dot2(ar, br, ai, nbi, prec, rnd)
-            if t is not None:
-                re[k] = mpf_add(re[k], t, prec, rnd)
-            t = _mp_dot2(ar, bi, ai, br, prec, rnd)
-            if t is not None:
-                im[k] = mpf_add(im[k], t, prec, rnd)
-    while n and not re[n - 1][1] and not im[n - 1][1]:
-        n -= 1
+    prec = ctx.prec
+    na, nb = len(pa), len(pb)
+    real = not any(x[2] for x in pa) and not any(y[2] for y in pb)
+    drop = 2 * prec + 4
+    out = []
+    for k in range(na + nb - 1):
+        rm = re = jm = je = 0
+        for i in range(max(0, k - nb + 1), min(k + 1, na)):
+            xr, xre, xj, xje = pa[i]
+            yr, yre, yj, yje = pb[k - i]
+            if not real:
+                t, te = _rn_dot(xr * yr, xre + yre, -xj * yj, xje + yje, prec)
+                rm, re = _rn_add(rm, re, t, te, prec)
+                t, te = _rn_dot(xr * yj, xre + yje, xj * yr, xje + yre, prec)
+                jm, je = _rn_add(jm, je, t, te, prec)
+                continue
+            # real operands: _rn of the product, then _rn_add into rm, inlined
+            t = xr * yr
+            if not t:
+                continue
+            te = xre + yre
+            n = t.bit_length() - prec
+            if n > 0:
+                q = t >> (n - 1)
+                t = (q >> 1) + 1 if q & 1 and (q & 2 or t & ((1 << (n - 1)) - 1)) else q >> 1
+                te += n
+            if not rm:
+                rm, re = t, te
+                continue
+            d = re - te
+            if d > drop:
+                continue
+            if d < -drop:
+                rm, re = t, te
+                continue
+            if d > 0:
+                rm, re = (rm << d) + t, te
+            else:
+                rm += t << -d
+            n = rm.bit_length() - prec
+            if n > 0:
+                q = rm >> (n - 1)
+                rm = (q >> 1) + 1 if q & 1 and (q & 2 or rm & ((1 << (n - 1)) - 1)) else q >> 1
+                re += n
+        out.append((rm, re, jm, je))
+    while out and not out[-1][0] and not out[-1][2]:
+        out.pop()
     make = ctx.make_mpc
-    return tuple(make(z) for z in zip(re[:n], im[:n]))
+    return tuple(make((from_man_exp(rm, re), from_man_exp(jm, je) if jm else fzero))
+                 for rm, re, jm, je in out)
 
 
 def chop(p: Poly, scale=None) -> Poly:

@@ -84,6 +84,21 @@ class QQInstance:
         return pairings(self.twist, self.cartan)
 
     @cached_property
+    def _poles(self) -> tuple:
+        """Per color i, ``(z_k, field(e))`` for each marked point whose
+        exponent e for color i is nonzero."""
+        field = self.field
+        return tuple(tuple((z, field(exps[i])) for z, exps in self.points if exps[i])
+                     for i in range(self.rank))
+
+    @cached_property
+    def _couplings(self) -> tuple:
+        """Per color i, ``{j: field(a_ji)}`` over the colors j with a_ji != 0."""
+        field, cmat, r = self.field, self.cartan, self.rank
+        return tuple({j: field(cmat.a(j, i)) for j in range(1, r + 1) if cmat.a(j, i)}
+                     for i in range(1, r + 1))
+
+    @cached_property
     def _lambdas(self) -> tuple:
         field = self.field
         out = []
@@ -233,8 +248,7 @@ def expected_minus_degree(inst: QQInstance, dplus: Sequence[int], i: int,
     return deg
 
 
-def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int,
-                    lambdas: Sequence[Poly], shift=None) -> Poly:
+def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None) -> Poly:
     """Solve W(q+_i, h) + xi_i q+_i h = RHS_i for a polynomial h.
 
     For xi_i = 0 the kernel is spanned by q+_i; the representative returned
@@ -246,9 +260,9 @@ def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int,
     if qp.is_zero:
         raise ValueError(f"q+_{i} is the zero polynomial")
     xi = inst.xi(i)
-    rhs = qq_rhs(inst, q_plus, i, lambdas)
+    rhs = qq_rhs(inst, q_plus, i)
     dplus = [p.degree() for p in q_plus]
-    gen_deg = expected_minus_degree(inst, dplus, i, lambdas)
+    gen_deg = expected_minus_degree(inst, dplus, i)
     if xi != 0 and gen_deg < 0:
         raise InconsistentSystem(i, f"generic completion degree {gen_deg} < 0 for color {i}")
     cap = gen_deg if xi != 0 else max(gen_deg, qp.degree())
@@ -287,11 +301,10 @@ def complete_minus(inst: QQInstance, q_plus: Sequence[Poly],
     completion; by the qq/Bethe correspondence this is exactly a failure of
     the Bethe equations for that color.
     """
-    lambdas = build_lambdas(inst)
     q_minus = []
     for i in range(1, inst.rank + 1):
         shift = constants[i - 1] if constants is not None else None
-        q_minus.append(_complete_color(inst, q_plus, i, lambdas, shift=shift))
+        q_minus.append(_complete_color(inst, q_plus, i, shift=shift))
     return QQSolution.make(tuple(q_plus), q_minus)
 
 

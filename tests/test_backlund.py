@@ -168,11 +168,11 @@ class TestChain:
         calls = []
         real = betheqq.backlund._complete_color
 
-        def flaky(cinst, q_plus, i, lambdas, shift=None):
+        def flaky(cinst, q_plus, i, shift=None):
             calls.append(i)
             if len(calls) >= 3:
                 raise bq.InconsistentSystem(i, "forced")
-            return real(cinst, q_plus, i, lambdas, shift=shift)
+            return real(cinst, q_plus, i, shift=shift)
 
         monkeypatch.setattr(betheqq.backlund, "_complete_color", flaky)
         with pytest.raises(bq.ChainBroken) as err:
