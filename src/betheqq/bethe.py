@@ -16,6 +16,7 @@ detect the same defect through independent computations.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import random
 from dataclasses import dataclass, replace
@@ -81,50 +82,110 @@ class SolveOptions:
         return [field(d) for d in self.damping]
 
 
-def _collision_guard(field: Field, denom, what: str):
-    guard = field.tau_root if isinstance(field, NumericField) else field.zero
-    if field.abs(denom) <= guard:
-        raise PoleCollision(f"vanishing denominator at {what}")
+def _collision_guard(field: Field, denom, where: str, *at):
+    """``denom``, unless |denom| <= ``tau_root``; formats ``where`` only then."""
+    if field.within(denom, field.tau_root):
+        raise PoleCollision("vanishing denominator at " + where.format(*at))
     return denom
 
 
-def _root_gaps(inst: QQInstance, roots: BetheRoots):
-    """Yield (value, what) for each quantity that vanishes when roots collide."""
-    cmat = inst.cartan
-    for i, color in enumerate(roots.roots, start=1):
-        for a in range(len(color)):
-            for b in range(a + 1, len(color)):
-                yield color[a] - color[b], f"equal roots of color {i}"
-        for w in color:
-            for z, exps in inst.points:
-                if exps[i - 1]:
-                    yield w - z, f"root of color {i} on a singular point"
-            extra = inst.extra[i - 1]
-            if extra is not None and extra.degree() > 0:
-                yield extra(w), f"root of color {i} on a cofactor zero"
-        for j in range(i + 1, inst.rank + 1):
-            if cmat.adjacent(i, j):
-                for w in color:
-                    for v in roots.roots[j - 1]:
-                        yield w - v, f"colors {i},{j} share a root"
+class _System:
+    """The Bethe equations of one instance at one twist scale: per color,
+    xi_i, the poles ``(z_k, e_{k,i})``, the couplings ``{j: a_ji}`` and a
+    nonconstant cofactor p with p' and (p'/p)', coerced to ``field`` once.
+    Every view (bethe_residual, bethe_jacobian, verify_bethe, Newton)
+    evaluates ``equation``, so all agree bit for bit."""
+
+    def __init__(self, field: Field, xis: tuple, poles: tuple, couplings: tuple, extra: tuple):
+        self.field, self.xis, self.poles, self.couplings, self.extra = field, xis, poles, couplings, extra
+
+    @staticmethod
+    def of(inst: QQInstance, field: Field | None = None) -> "_System":
+        """``inst``'s equations with coefficients in ``field`` (default: its own)."""
+        f, cmat, r = field or inst.field, inst.cartan, inst.rank
+        extra = [None if e is None or e.degree() == 0 else Poly.make(f, e.coeffs) for e in inst.extra]
+        return _System(f, tuple(map(f, inst.xis())),
+                       tuple(tuple((f(z), f(exps[i])) for z, exps in inst.points if exps[i]) for i in range(r)),
+                       tuple({j: f(cmat.a(j, i)) for j in range(1, r + 1) if cmat.a(j, i)} for i in range(1, r + 1)),
+                       tuple(p and (p, p.deriv(), RationalFn.make(p.deriv(), p).deriv()) for p in extra))
+
+    def at_scale(self, zeta: Sequence, k) -> "_System":
+        """The equations at the twist of coroot coordinates ``zeta``, points
+        multiplied by k; xi_i is formed as ``rootsys.pairing`` forms it."""
+        xis = []
+        for couplings in self.couplings:
+            acc = self.field.zero
+            for j, a in couplings.items():
+                acc = acc + a * zeta[j - 1]
+            xis.append(acc)
+        return _System(self.field, tuple(xis), tuple(tuple((k * z, e) for z, e in p) for p in self.poles),
+                       self.couplings, self.extra)
+
+    def equation(self, colors: tuple, i: int, ell: int, residual: bool = True, row: list | None = None,
+                 starts: Sequence = ()):
+        """Residual ``ell`` of color ``i`` (0-based) at the roots ``colors``,
+        each denominator guarded against collision (None unless
+        ``residual``); given ``row``, also fill in its unguarded Jacobian row,
+        color j starting at column ``starts[j]``.  Each w - v is formed once."""
+        field, w = self.field, colors[i][ell]
+        acc, diag = self.xis[i], field.zero
+        for z, e in self.poles[i]:
+            d = w - z
+            if residual:
+                acc = acc + e / _collision_guard(field, d, "w - z ({},{})", i + 1, ell + 1)
+            if row is not None:
+                diag = diag - e / d ** 2
+        if self.extra[i] is not None:
+            p, dp, g = self.extra[i]
+            if residual:
+                acc = acc + dp(w) / _collision_guard(field, p(w), "cofactor ({},{})", i + 1, ell + 1)
+            if row is not None:
+                diag = diag + g(w)
+        for j, a in self.couplings[i].items():
+            for s, v in enumerate(colors[j - 1]):
+                if j == i + 1 and s == ell:
+                    continue
+                d = w - v
+                if residual:
+                    acc = acc - a / _collision_guard(field, d, "w - w ({},{})/({},{})", i + 1, ell + 1, j, s + 1)
+                if row is not None:
+                    row[starts[j - 1] + s] = t = -a / d ** 2
+                    diag = diag - t
+        if row is not None:
+            row[starts[i] + ell] = diag
+        return acc if residual else None
+
+    def sweep(self, roots: BetheRoots, residual: bool = True, jacobian: bool = False):
+        """``(residuals, max |residual|, Jacobian)`` in the flat root order
+        from one pass over the equations; the parts not asked for are None."""
+        colors, n = roots.roots, roots.total()
+        starts = [sum(map(len, colors[:j])) for j in range(len(colors))]
+        jac = [[self.field.zero] * n for _ in range(n)] if jacobian else None
+        res = [self.equation(colors, i, ell, residual, jac and jac[starts[i] + ell], starts)
+               for i, color in enumerate(colors) for ell in range(len(color))]
+        return (res, self.field.max_abs(res), jac) if residual else (None, None, jac)
+
+
+def _system(inst: QQInstance) -> _System:
+    """``_System.of(inst)``, built once and kept on the instance."""
+    return vars(inst).get("_bethe") or vars(inst).setdefault("_bethe", _System.of(inst))
+
+
+def _root_pairs(system: _System, roots: BetheRoots):
+    """Yield each pair (w, v) of a root and a root or marked point whose
+    difference is a denominator of the equations (on a continuation path,
+    where every cofactor is constant, all that vanish when roots collide)."""
+    colors = roots.roots
+    for i, color in enumerate(colors):
+        for a, w in enumerate(color):
+            yield from ((w, v) for v in color[a + 1:])
+            yield from ((w, z) for z, _ in system.poles[i])
+            yield from ((w, v) for j in system.couplings[i] if j > i + 1 for v in colors[j - 1])
 
 
 def bethe_residual(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
     """The (i, ell)-th residual as an explicit sum over poles."""
-    field = inst.field
-    w = roots.roots[i - 1][ell - 1]
-    acc = inst.xi(i)
-    for z, e in inst._poles[i - 1]:
-        acc = acc + e / _collision_guard(field, w - z, f"w - z ({i},{ell})")
-    extra = inst.extra[i - 1]
-    if extra is not None and extra.degree() > 0:
-        acc = acc + extra.deriv()(w) / _collision_guard(field, extra(w), f"cofactor ({i},{ell})")
-    for j, aji in inst._couplings[i - 1].items():
-        for s, v in enumerate(roots.roots[j - 1], start=1):
-            if (j, s) == (i, ell):
-                continue
-            acc = acc - aji / _collision_guard(field, w - v, f"w - w ({i},{ell})/({j},{s})")
-    return acc
+    return _system(inst).equation(roots.roots, i - 1, ell - 1)
 
 
 def bethe_residual_log_form(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
@@ -144,7 +205,7 @@ def bethe_residual_log_form(inst: QQInstance, roots: BetheRoots, i: int, ell: in
     den = u * u
     f_num = num.deriv() * den - num * den.deriv()
     f_den = num * den
-    val_den = _collision_guard(field, f_den(w), f"log-form denominator ({i},{ell})")
+    val_den = _collision_guard(field, f_den(w), "log-form denominator ({},{})", i, ell)
     return inst.xi(i) + f_num(w) / val_den
 
 
@@ -158,55 +219,56 @@ class BetheReport:
 
 def verify_bethe(inst: QQInstance, roots: BetheRoots, tolerance=None) -> BetheReport:
     """Max |residual| over all equations; pass iff at most the tolerance."""
-    field = inst.field
-    tol = field.tau if tolerance is None else tolerance
-    vals = {}
-    worst = field.abs(field.zero)
-    for i in range(1, inst.rank + 1):
-        for ell in range(1, len(roots.roots[i - 1]) + 1):
-            v = bethe_residual(inst, roots, i, ell)
-            vals[(i, ell)] = v
-            worst = max(worst, field.abs(v))
-    return BetheReport(worst, vals, tol, worst <= tol)
+    tol = inst.field.tau if tolerance is None else tolerance
+    res, worst, _ = _system(inst).sweep(roots)
+    labels = [(i, ell) for i, color in enumerate(roots.roots, start=1) for ell in range(1, len(color) + 1)]
+    return BetheReport(worst, dict(zip(labels, res)), tol, worst <= tol)
 
 
 def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
     """Analytic Jacobian of the stacked residual vector in the flat root order."""
-    field = inst.field
-    labels = [(i, s) for i in range(1, inst.rank + 1) for s in range(1, len(roots.roots[i - 1]) + 1)]
-    n = len(labels)
-    jac = [[field.zero] * n for _ in range(n)]
-    for row, (i, ell) in enumerate(labels):
-        w = roots.roots[i - 1][ell - 1]
-        diag = field.zero
-        for z, e in inst._poles[i - 1]:
-            diag = diag - e / (w - z) ** 2
-        extra = inst.extra[i - 1]
-        if extra is not None and extra.degree() > 0:
-            g = RationalFn.make(extra.deriv(), extra)
-            diag = diag + g.deriv()(w)
-        couplings = inst._couplings[i - 1]
-        for col, (j, s) in enumerate(labels):
-            if j not in couplings or (j, s) == (i, ell):
-                continue
-            jac[row][col] = -couplings[j] / (w - roots.roots[j - 1][s - 1]) ** 2
-            diag = diag - jac[row][col]
-        jac[row][row] = diag
-    return jac
+    return _system(inst).sweep(roots, residual=False, jacobian=True)[2]
 
 
 #: a Newton step longer than this many times 1 + max|w| counts as singular: it
 #: throws a root toward infinity, where the residual tends to |xi_i|
 _STEP_CAP = 2 ** 10
 _MIN_STEP = 2.0 ** -30  #: the smallest continuation step in the path parameter s
+_MACH = MachineField()
+#: the widest ratio of magnitude to distance that machine floats resolve to
+#: about half their digits: wider spreads are tracked in the caller's field,
+#: and roots closer than this for their size get full-precision directions
+_MACH_SPREAD = _MACH.tau_root ** 0.5 / _MACH.tau
 
 
-def _newton_direction(field: Field, jac: list, rhs: list) -> list:
-    """Solve ``jac x = rhs`` by the one Gauss-Jordan elimination."""
+def _newton_direction(field: Field, jac: list, rhs: list, flat: list | None = None) -> list:
+    """Solve ``jac x = rhs`` by the one Gauss-Jordan elimination; with the
+    roots ``flat``, an x beyond ``_STEP_CAP`` (1 + max|w|) counts as singular."""
     a, pivots = _gauss_jordan(field, jac, rhs)
     if len(pivots) < len(rhs):
         raise SingularJacobian(f"Jacobian of rank {len(pivots)} < {len(rhs)}")
-    return [row[-1] / row[c] for row, c in zip(a, pivots)]
+    x = [row[-1] / row[c] for row, c in zip(a, pivots)]
+    if flat is not None and not field.max_abs(x) <= _STEP_CAP * (1 + field.max_abs(flat)):
+        raise SingularJacobian("Newton step beyond the scale of the roots")
+    return x
+
+
+def _machine_direction(machine: _System, rts: BetheRoots, res: list) -> list:
+    """The Newton direction for the residuals ``res`` at ``rts`` from the
+    Jacobian of ``machine``, the equations in machine floats, at the roots
+    rounded to floats; SingularJacobian also when it is not finite, or when
+    rounding leaves some difference of the equations too few digits."""
+    rounded = BetheRoots(tuple(tuple(complex(w) for w in color) for color in rts.roots))
+    if any(abs(w - v) * _MACH_SPREAD < max(abs(w), abs(v)) for w, v in _root_pairs(machine, rounded)):
+        raise SingularJacobian("roots too close for their magnitude in machine floats")
+    try:
+        delta = _newton_direction(_MACH, machine.sweep(rounded, residual=False, jacobian=True)[2],
+                                  [-complex(v) for v in res], rounded.flat())
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise SingularJacobian(f"machine Jacobian failed: {exc}") from None
+    if not all(map(cmath.isfinite, delta)):
+        raise SingularJacobian("machine Newton direction is not finite")
+    return delta
 
 
 def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None = None,
@@ -219,55 +281,81 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
     10x tolerance, at most three times; a step longer than ``_STEP_CAP``
     times 1 + max|w| counts as singular.  With ``polish``, full steps go on
     past the tolerance while each at least halves the max residual.
-    ``context`` is added to every log record.
+
+    On a numeric field wider than 53 bits, residuals keep its precision but
+    directions come from the Jacobian in machine floats: iterative
+    refinement, about 15 digits per step (``max_iterations`` counts these
+    steps).  The iteration falls back to the full-precision direction when
+    the machine one is singular, not finite or too long, or when no damped
+    step along it is accepted before convergence; past the tolerance a
+    machine step that fails to halve the residual ends the polish.
+    Log records carry ``context``, the retry ``"attempt"`` and the
+    ``"jacobian_precision"`` of the step's direction (53: machine floats).
     """
     opts = opts or SolveOptions()
     field = inst.field
+    system = _system(inst)
+    machine = _System.of(inst, _MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
     rng = random.Random(opts.seed)
     damps = opts.damping_values(field)
 
-    def residuals(rts: BetheRoots):
-        rep = verify_bethe(inst, rts)
-        return list(rep.residuals.values()), rep.max_residual
+    def directions(rts, res, jac):  # jac: the field's Jacobian at rts, if formed
+        """``(jacobian precision, direction)`` in the order they are tried."""
+        try:
+            delta = machine and _machine_direction(machine, rts, res)
+        except SingularJacobian:
+            delta = None
+        if delta:
+            yield 53, [field(d) for d in delta]
+        yield field.precision, _newton_direction(field, jac or bethe_jacobian(inst, rts),
+                                                 [-v for v in res], rts.flat())
 
-    def record(it, worst, alpha, **extra):
+    def step(rts, res, worst, jac, converged):
+        """The first accepted ``(roots, residuals, max, damping, precision)``,
+        or None; past the tolerance only a full step that halves the max."""
+        flat = rts.flat()
+        for prec, delta in directions(rts, res, jac):
+            for alpha in [field(1)] if converged else damps:
+                trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
+                try:
+                    tres, tworst, _ = system.sweep(trial)
+                except PoleCollision:
+                    continue
+                if (tworst <= worst / 2) if converged else (tworst < worst or tworst <= tol):
+                    return trial, tres, tworst, alpha, prec
+            if converged:
+                return None
+        return None
+
+    def record(it, worst, alpha, prec, attempt, **extra):
         if log is not None:
             log.append({"step": it, "max_residual": float(worst), "damping": float(alpha),
-                        "precision": field.precision, **extra, **(context or {})})
+                        "precision": field.precision, "jacobian_precision": prec, "attempt": attempt,
+                        **extra, **(context or {})})
 
     current = init
     if current.total() == 0:
         return current
     for attempt in range(4):
         try:
-            rts = current
-            res, worst = residuals(rts)
+            rts, prec = current, field.precision
+            # without machine directions the first step needs the Jacobian here: one sweep
+            res, worst, jac = system.sweep(rts, jacobian=machine is None)
             for it in range(opts.max_iterations + 1):
                 converged = worst <= tol
                 if converged and (not polish or worst == 0) or it == opts.max_iterations:
                     break
-                flat = rts.flat()
-                delta = _newton_direction(field, bethe_jacobian(inst, rts), [-v for v in res])
-                if max(field.abs(d) for d in delta) > _STEP_CAP * (1 + max(field.abs(w) for w in flat)):
-                    raise SingularJacobian("Newton step beyond the scale of the roots")
-                for alpha in [field(1)] if converged else damps:
-                    trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
-                    try:
-                        tres, tworst = residuals(trial)
-                    except PoleCollision:
-                        continue
-                    if (tworst <= worst / 2) if converged else (tworst < worst or tworst <= tol):
-                        rts, res, worst = trial, tres, tworst
-                        record(it, tworst, alpha)
-                        break
-                else:
+                taken, jac = step(rts, res, worst, jac, converged), None
+                if taken is None:
                     if converged:
                         break
                     raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
+                rts, res, worst, alpha, prec = taken
+                record(it, worst, alpha, prec, attempt)
             if worst > tol:
                 raise NoConvergence(f"residual {worst} after {opts.max_iterations} iterations")
-            record(it, worst, 1, converged=True)
+            record(it, worst, 1, prec, attempt, converged=True)
             return rts.canonical(field)
         except SingularJacobian:
             if attempt == 3 or isinstance(field, ExactField):
@@ -449,10 +537,13 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     The path runs in machine floats (``MachineField``) on a shifted and
     rescaled copy of the instance, or in the caller's field when the points
     spread too wide, from ``t_top = tau_root^(-1/2) / sigma`` of the tracking
-    field, sigma = min(1, min|xi| * spacing).  A refinement in the caller's
-    field polishes the roots to its precision floor.  Log records carry
-    ``"phase"`` (``"track"`` or ``"refine"``); tracking records also carry
-    ``"s"`` and the step ``"h"``.
+    field, sigma = min(1, min|xi| * spacing); each scale's Bethe equations
+    are derived from the tracked copy's without coercing them again.  A
+    refinement in the caller's field polishes the roots to its precision
+    floor, with Newton directions from machine-float Jacobians when it is
+    wider than 53 bits (see ``solve_newton``).  Log records carry ``"phase"``
+    (``"track"`` or ``"refine"``); tracking records also carry ``"s"``, the
+    step ``"h"`` and the coordinate scale ``"k"``.
     """
     opts = opts or SolveOptions()
     field = inst.field
@@ -478,8 +569,8 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     sigma = min(1, min(mags) * min(dists)) if dists else 1
     c = max(mags) / sigma
     b = sum(zs, field.zero) / len(zs)
-    track = mach = MachineField()
-    if dists and c * max(dists) > mach.tau_root ** 0.5 / mach.tau:
+    track = mach = _MACH
+    if dists and c * max(dists) > _MACH_SPREAD:
         track = field
     target = QQInstance.make(inst.ctype, track, [(c * (z - b), e) for z, e in inst.points],
                              [x / c for x in inst.twist.zeta], inst.lead,
@@ -494,14 +585,18 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     ladder = replace(opts, damping=tuple(opts.damping_values(track)))
     inner = replace(ladder, max_iterations=min(3, opts.max_iterations))
     lo = min(abs(x) for x in target.xis())
+    base = _system(target)
 
     def scale(s):
         return t_top ** (1 - s) * ctx.exp(ctx.mpc(0, 1) * bump * s * (1 - s))
 
     def at_scale(t, k):
-        """The tracked copy at twist scale t, in coordinates multiplied by k."""
-        return replace(target, points=tuple((k * z, e) for z, e in target.points),
-                       twist=Twist(track, tuple(z * t / k for z in target.twist.zeta)))
+        """The tracked copy at twist scale t, in coordinates multiplied by k,
+        with its Bethe equations derived from the target's, not coerced again."""
+        zeta = tuple(z * t / k for z in target.twist.zeta)
+        at = replace(target, points=tuple((k * z, e) for z, e in target.points), twist=Twist(track, zeta))
+        vars(at)["_bethe"] = base.at_scale(zeta, k)
+        return at
 
     def correct(roots, k, s, h, step_opts):
         # keep the closest pair that may not collide within [1/16, 16] by
@@ -509,18 +604,18 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         # to the smallest |xi| at this scale (at least tau_root^2)
         t = scale(s)
         at = at_scale(t, k)
-        gap = min(abs(g) for g, _ in _root_gaps(at, roots))
+        gap = min(abs(w - v) for w, v in _root_pairs(_system(at), roots))
         if not 1 / 16 <= gap <= 16 and gap > 0:
             roots = BetheRoots(tuple(tuple(w / gap for w in color) for color in roots.roots))
             k = k / gap
             at = at_scale(t, k)
         tol = mach.tau_root * max(mach.tau_root, lo * abs(t) / k)
         return solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log,
-                            context={"phase": "track", "s": s, "h": h}), k
+                            context={"phase": "track", "s": s, "h": h, "k": float(k)}), k
 
     try:
         top = at_scale(scale(0.0), 1)
-        roots, k = correct(_seed_positions(top, part, top.xis()), 1, 0.0, 0.0, ladder)
+        roots, k = correct(_seed_positions(top, part, _system(top).xis), 1, 0.0, 0.0, ladder)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
@@ -529,13 +624,14 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                 # Euler predictor: F(w, t(s)) = 0 with dF_i/dt = xi_i / t at scale t
                 at = at_scale(scale(s), k)
                 dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
-                rhs = [-at.xi(i) * dlog for i, color in enumerate(roots.roots, start=1) for _ in color]
+                rhs = [-xi * dlog for xi, color in zip(_system(at).xis, roots.roots) for _ in color]
                 tangent = _newton_direction(track, bethe_jacobian(at, roots), rhs)
-                gaps = [g for g, _ in _root_gaps(at, roots)]
+                gaps = [w - v for w, v in _root_pairs(_system(at), roots)]
             nxt = min(1.0, s + h)
             pred = roots.replace_flat([w + (nxt - s) * d for w, d in zip(roots.flat(), tangent)])
             # no gap may change by more than itself: guards against path jumping
-            if any(abs(g - g0) > abs(g0) for (g, _), g0 in zip(_root_gaps(at, pred), gaps)):
+            pairs = _root_pairs(_system(at), pred)
+            if any(abs(w - v - g0) > abs(g0) for (w, v), g0 in zip(pairs, gaps)):
                 h /= 2
                 continue
             try:

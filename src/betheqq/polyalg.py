@@ -73,9 +73,7 @@ class Poly:
 
     def norm(self):
         """Max coefficient magnitude (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return self.field.abs(self.field.zero)
-        return max(self.field.abs(c) for c in self.coeffs)
+        return self.field.max_abs(self.coeffs)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -623,22 +621,14 @@ def _gauss_jordan(field: Field, rows: list[list], rhs: list):
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    exact = isinstance(field, ExactField)
-    if exact:
-        pivot_tol = field.zero
-    else:
-        a_norm = max((field.abs(v) for row in a for v in row[:n]), default=field.abs(field.zero))
-        pivot_tol = field.tau * max(field.ctx.mpf(1), a_norm)
+    pivot_tol = field.tau * field.max_abs([v for row in rows for v in row])
     piv_cols = []
     r = 0
     for c in range(n):
-        piv, best = None, None
-        for i in range(r, m):
-            mag = field.abs(a[i][c])
-            if a[i][c] != 0 and (best is None or mag > best):
-                piv, best = i, mag
-        if piv is None or (not exact and best <= pivot_tol):
+        k = field.largest([a[i][c] for i in range(r, m)])
+        if k is None or field.within(a[r + k][c], pivot_tol):
             continue
+        piv = r + k
         a[r], a[piv] = a[piv], a[r]
         inv = a[r][c]
         for i in range(m):
@@ -659,8 +649,8 @@ def solve_linear_system(field: Field, rows: list[list], rhs: list):
 
     The package's one elimination and pivot policy, shared with Newton's
     linear solves: a pivot is the largest entry of its column and must
-    exceed ``tau * max(1, ||rows||)`` on the numeric backend, or be nonzero
-    on the exact one.
+    exceed ``tau * ||rows||`` (relative, at any scale of the matrix) on the
+    numeric backend, or be nonzero on the exact one.
 
     Returns ``(solution, defect)`` where ``solution`` sets free variables to
     zero and ``defect`` is the max residual magnitude of the eliminated
@@ -670,10 +660,7 @@ def solve_linear_system(field: Field, rows: list[list], rhs: list):
     n = len(rows[0]) if rows else 0
     a, piv_cols = _gauss_jordan(field, [[field(v) for v in row] for row in rows],
                                 [field(v) for v in rhs])
-    # residual of the rows with no pivot
-    defect = field.abs(field.zero)
-    for row in a[len(piv_cols):]:
-        defect = max(defect, field.abs(row[n]))
+    defect = field.max_abs([row[n] for row in a[len(piv_cols):]])  # rows with no pivot
     if isinstance(field, ExactField) and defect != 0:
         return None, defect
     sol = [field.zero] * n

@@ -84,21 +84,6 @@ class QQInstance:
         return pairings(self.twist, self.cartan)
 
     @cached_property
-    def _poles(self) -> tuple:
-        """Per color i, ``(z_k, field(e))`` for each marked point whose
-        exponent e for color i is nonzero."""
-        field = self.field
-        return tuple(tuple((z, field(exps[i])) for z, exps in self.points if exps[i])
-                     for i in range(self.rank))
-
-    @cached_property
-    def _couplings(self) -> tuple:
-        """Per color i, ``{j: field(a_ji)}`` over the colors j with a_ji != 0."""
-        field, cmat, r = self.field, self.cartan, self.rank
-        return tuple({j: field(cmat.a(j, i)) for j in range(1, r + 1) if cmat.a(j, i)}
-                     for i in range(1, r + 1))
-
-    @cached_property
     def _lambdas(self) -> tuple:
         field = self.field
         out = []

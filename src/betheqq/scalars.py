@@ -23,6 +23,7 @@ from typing import Any, Union
 
 from mpmath import fp
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import fzero
 
 from .errors import ParseError
 
@@ -43,7 +44,39 @@ def _parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
 
 
-class ExactField:
+def _square(v):
+    """Exact |v|^2 of a finite mpf or mpc as the pair ``(man, exp)`` of
+    integers, else None."""
+    a, b = getattr(v, "_mpc_", None) or (getattr(v, "_mpf_", None), fzero)
+    if a is None or (a[2] and not a[1]) or (b[2] and not b[1]):  # not an mpf, or inf/nan
+        return None
+    low = min(a[2], b[2])
+    return ((a[1] ** 2) << 2 * (a[2] - low)) + ((b[1] ** 2) << 2 * (b[2] - low)), 2 * low
+
+
+class _Magnitudes:
+    """Magnitude maxima and bounds, all decided by ``largest``."""
+
+    def largest(self, values):
+        """Index of the first nonzero value of largest magnitude, or None."""
+        best = mag = None
+        for i, v in enumerate(values):
+            m = abs(v)
+            if v != 0 and (best is None or m > mag):
+                best, mag = i, m
+        return best
+
+    def within(self, x, bound) -> bool:
+        """|x| <= bound, for a bound >= 0."""
+        return self.largest([bound, x]) != 1
+
+    def max_abs(self, values):
+        """``max(abs(v) for v in values)``, 0 when there are none."""
+        i = self.largest(values)
+        return self.abs(self.zero if i is None else values[i])
+
+
+class ExactField(_Magnitudes):
     """Rational arithmetic backend (``fractions.Fraction``)."""
 
     backend = "exact"
@@ -89,7 +122,7 @@ class ExactField:
         return "ExactField()"
 
 
-class NumericField:
+class NumericField(_Magnitudes):
     """Complex arithmetic at ``precision`` bits on a private mpmath context.
 
     ``tau`` is the relative comparison tolerance, ``tau_root`` the minimum
@@ -156,6 +189,20 @@ class NumericField:
     def abs(self, x):
         return abs(x)
 
+    def largest(self, values):
+        """Index of the first nonzero value of largest magnitude, or None.
+
+        Compares exact squared magnitudes: the answer of comparing ``abs``
+        (a rounded hypot, monotone in the exact square) with no square root.
+        """
+        keys = [_square(v) for v in values]
+        if not keys or None in keys:
+            return _Magnitudes.largest(self, values)
+        low = min(e for _, e in keys)
+        mags = [m << (e - low) for m, e in keys]
+        top = max(mags)
+        return mags.index(top) if top else None
+
     def sort_key(self, x):
         z = self.ctx.mpc(x)
         return (z.real, z.imag)
@@ -183,6 +230,8 @@ class MachineField(NumericField):
 
     def __init__(self):
         self._bind(fp)
+
+    largest = _Magnitudes.largest
 
 
 Field = Union[ExactField, NumericField]

@@ -1,5 +1,6 @@
 """Bethe residuals, Newton solving, infinite-system seeding, continuation."""
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -103,20 +104,66 @@ class TestNewton:
         # and the step cap refuses it as singular before any root gets there
         import betheqq.bethe
 
-        residual = betheqq.bethe.bethe_residual
+        sweep = betheqq.bethe._System.sweep
         seen = []
 
-        def spying(inst, roots, i, ell):
-            seen.append(abs(roots.roots[i - 1][ell - 1]))
-            return residual(inst, roots, i, ell)
+        def spying(system, roots, residual=True, jacobian=False):
+            if residual:
+                seen.extend(abs(w) for w in roots.flat())
+            return sweep(system, roots, residual, jacobian)
 
-        monkeypatch.setattr(betheqq.bethe, "bethe_residual", spying)
+        monkeypatch.setattr(betheqq.bethe._System, "sweep", spying)
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (-1, (1,))], [Q(1, 2)])
         log = []
         with pytest.raises(bq.SingularJacobian):
             bq.solve_newton(inst, bq.BetheRoots.make(N, [[[0, 1]]]), bq.SolveOptions(seed=seed), log=log)
         assert log == []
         assert seen and max(seen) < 2
+
+    @pytest.mark.parametrize("machine", ["singular", "useless"])
+    def test_machine_direction_fallback(self, machine, monkeypatch):
+        # a machine-float direction that is singular, or along which no damped
+        # step is accepted, gives way to the full-precision direction within
+        # the same iteration; past the tolerance a useless one ends the polish
+        import betheqq.bethe
+
+        def fake(system, rts, res):
+            if machine == "singular":
+                raise bq.SingularJacobian("machine Jacobian refused")
+            return [0j] * len(res)
+
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
+        part = bq.InfinitePartition.make(N, [[0], [3]])
+        expected = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=3))
+        monkeypatch.setattr(betheqq.bethe, "_machine_direction", fake)
+        log = []
+        roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=3), log=log)
+        assert bq.verify_bethe(inst, roots).ok
+        refine = [r for r in log if r["phase"] == "refine"]
+        assert refine and {r["jacobian_precision"] for r in refine} == {256}
+        assert {r["attempt"] for r in refine} == {0}
+        for a, b in zip(roots.roots, expected.roots):
+            for w, v in zip(a, b):
+                assert abs(w - v) < N.ctx.mpf("1e-60" if machine == "singular" else "1e-40")
+
+    @pytest.mark.parametrize("offset, precisions", [(0, {53}), (10 ** 9, {256})])
+    def test_machine_directions_need_resolved_differences(self, offset, precisions):
+        # 3/2 + 1/(w - z) + 1/(w - z - 1) = 0 has the root z + 2/3.  Rounded
+        # to floats 10^9 out, the differences keep too few digits, so the
+        # steps take full-precision Jacobians there
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(offset, (1,)), (offset + 1, (1,))], [Q(3, 4)])
+        log = []
+        roots = bq.solve_newton(inst, bq.BetheRoots.make(N, [[N(offset) + N("0.6")]]), log=log, polish=True)
+        assert abs(roots.roots[0][0] - offset - N(2) / 3) < N.ctx.mpf("1e-60")
+        assert {r["jacobian_precision"] for r in log if not r.get("converged")} == precisions
+
+    def test_max_residual_is_max_abs(self):
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (3, (0, 1)), (N([1, 2]), (1, 1))], [Q(2, 3), Q(1, 5)])
+        roots = bq.BetheRoots.make(N, [[N("0.3"), N([-1, "0.25"])], [N([2, -1])]])
+        rep = bq.verify_bethe(inst, roots)
+        assert rep.max_residual == max(abs(v) for v in rep.residuals.values())
 
     def test_iteration_log(self):
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])
@@ -126,16 +173,25 @@ class TestNewton:
         assert {r["precision"] for r in log} == {256}
 
     def test_continuation_log_context(self):
-        # each record names its phase; tracking records also carry s and the step h
+        # each record names its phase, its retry attempt and the precision of
+        # the Jacobian that made the step; tracking records also carry s, the
+        # step h and the coordinate scale k.  Records repeat byte for byte.
         inst = a1_two_points(N)
-        log = []
-        bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[2]]), bq.SolveOptions(seed=3), log=log)
+        logs = []
+        for _ in range(2):
+            logs.append([])
+            bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[2]]), bq.SolveOptions(seed=3),
+                                 log=logs[-1])
+        log = logs[0]
+        assert json.dumps(logs[0]) == json.dumps(logs[1])
         track = [r for r in log if r["phase"] == "track"]
         refine = [r for r in log if r["phase"] == "refine"]
         assert track and refine and len(track) + len(refine) == len(log)
-        assert all({"s", "h"} <= set(r) for r in track)
-        assert track[-1]["s"] == 1 and all(0 <= r["s"] <= 1 and r["h"] >= 0 for r in track)
+        assert all({"s", "h", "k"} <= set(r) for r in track)
+        assert track[-1]["s"] == 1 and all(0 <= r["s"] <= 1 and r["h"] >= 0 and r["k"] > 0 for r in track)
         assert all(r["precision"] == 256 for r in refine)
+        assert all(r["attempt"] == 0 for r in log)
+        assert all(r["jacobian_precision"] == 53 for r in log)
 
 
 class TestInfiniteSystem:
@@ -228,13 +284,18 @@ class TestContinuation:
                 for w in lo_color:
                     assert min(abs(hi(w) - v) for v in hi_color) < hi.ctx.mpf("1e-40"), k
 
-    @pytest.mark.parametrize("xi", ["1e-6", "1000", "1e6"])
-    def test_twist_magnitude(self, xi):
-        # one point at 0: the root is -1/xi at any magnitude of the twist
-        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [N(xi) / 2])
-        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0]]),
+    @pytest.mark.parametrize("prec, xi", [pytest.param(256, x, id=x) for x in ("1e-6", "1000", "1e6")]
+                             + [pytest.param(53, x, id=f"53-{x}") for x in ("1e-6", "1e-9")])
+    def test_twist_magnitude(self, prec, xi):
+        # one point at 0: the root is -1/xi at any magnitude of the twist; at
+        # 53 bits the Jacobian -xi^2 is far below 1, and the pivot threshold,
+        # relative to the matrix, does not mistake it for singular
+        field = bq.NumericField(prec)
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), field, [(0, (1,))], [field(xi) / 2])
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(field, [[0]]),
                                      bq.SolveOptions(seed=1))
-        assert abs(roots.roots[0][0] * N(xi) + 1) < N.ctx.mpf("1e-40")
+        bound = field.ctx.mpf("1e-40" if prec == 256 else "1e-12")
+        assert abs(roots.roots[0][0] * field(xi) + 1) < bound
 
     @pytest.mark.parametrize("d", ["1e-4", "1e-9"])
     def test_close_points(self, d):
@@ -263,24 +324,41 @@ class TestContinuation:
 
     def test_target_precision_only_refines(self, monkeypatch):
         # the path is tracked at machine precision; the caller's 256 bits
-        # only see the final refinement
+        # only see the final refinement, whose Newton directions come from
+        # Jacobians in machine floats: no 256-bit Jacobian or elimination, and
+        # at most 8 residual sweeps at 256 bits (quadratic 256-bit Newton
+        # needs 7, each step with a 256-bit Jacobian and elimination)
         import betheqq.bethe
 
-        jacobian = betheqq.bethe.bethe_jacobian
-        at_target = []
+        jacobian, sweep, eliminate = (betheqq.bethe.bethe_jacobian, betheqq.bethe._System.sweep,
+                                      betheqq.bethe._gauss_jordan)
+        jacobians, residuals = [], []
 
-        def counting(inst, roots):
+        def counting_jacobian(inst, roots):
             if inst.field.precision == 256:
-                at_target.append(roots)
+                jacobians.append(roots)
             return jacobian(inst, roots)
 
-        monkeypatch.setattr(betheqq.bethe, "bethe_jacobian", counting)
+        def counting_sweep(system, roots, residual=True, jacobian=False):
+            if system.field.precision == 256:
+                (jacobians if jacobian else residuals).append(roots)
+            return sweep(system, roots, residual, jacobian)
+
+        def counting_elimination(field, rows, rhs):
+            if field.precision == 256:
+                jacobians.append(rows)
+            return eliminate(field, rows, rhs)
+
+        monkeypatch.setattr(betheqq.bethe, "bethe_jacobian", counting_jacobian)
+        monkeypatch.setattr(betheqq.bethe._System, "sweep", counting_sweep)
+        monkeypatch.setattr(betheqq.bethe, "_gauss_jordan", counting_elimination)
         inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
                                   [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
         roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [3]]),
                                      bq.SolveOptions(seed=3))
+        assert jacobians == []
+        assert 0 < len(residuals) <= 8
         assert bq.verify_bethe(inst, roots).ok
-        assert 0 < len(at_target) <= 6
 
     def test_newton_work_per_path(self):
         # the A2 fixture of test_target_precision_only_refines: the Euler

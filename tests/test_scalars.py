@@ -1,0 +1,64 @@
+"""Magnitude comparisons of the scalar backends."""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+import betheqq as bq
+
+
+def magnitude_cases(field):
+    """Zeros, pure real and pure imaginary values, components 400 binades
+    apart, equal magnitudes, and near ties one unit in the last place apart."""
+    ctx = field.ctx
+    two = ctx.mpf(2)
+    big, small = two ** 400, two ** -400
+    fixed = [field.zero, ctx.mpf(0), ctx.mpf(3), ctx.mpc(0, -3), ctx.mpc(3, 4), ctx.mpc(-4, 3),
+             ctx.mpc(0, 5), ctx.mpf(-5), ctx.mpc(1, small), ctx.mpc(small, 1), ctx.mpc(big, 1),
+             ctx.mpc(1, big), ctx.mpc(small, small), ctx.mpc(big, -big), big * ctx.mpc(3, 4),
+             ctx.mpc(0, -5 * big), small * ctx.mpc(0, 5), small * ctx.mpf(5)]
+    rng = random.Random(field.precision)
+    drawn = []
+    for _ in range(60):
+        re = ctx.ldexp(ctx.mpf(rng.random()), rng.randint(-400, 400))
+        im = ctx.ldexp(ctx.mpf(rng.random()), rng.randint(-400, 400)) if rng.random() < 0.8 else 0
+        z = ctx.mpc(re, im)
+        drawn += [z, z * (1 + ctx.eps), ctx.mpc(z.imag, z.real), ctx.mpc(-z.real, z.imag)]
+    return fixed, drawn
+
+
+def exact(x) -> Q:
+    man, exp = x.man_exp
+    return Q(man) * Q(2) ** exp if man else Q(0)
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+def test_max_abs_is_max_of_abs(prec):
+    field = bq.NumericField(prec)
+    fixed, drawn = magnitude_cases(field)
+    rng = random.Random(prec)
+    groups = [fixed, drawn, [field.zero] * 3, []]
+    groups += [rng.sample(fixed + drawn, 5) for _ in range(200)]
+    for values in groups:
+        mags = [abs(v) for v in values]
+        expected = max(mags, default=field.abs(field.zero))
+        assert field.max_abs(values) == expected
+        idx = field.largest(values)
+        if expected == 0:
+            assert idx is None
+        else:
+            assert idx == next(i for i, (v, m) in enumerate(zip(values, mags)) if v != 0 and m == expected)
+    # within decides |v| <= bound exactly, where the rounded abs(v) may tie
+    for v in fixed + drawn:
+        z = field.ctx.mpc(v)
+        for bound in (abs(v), abs(v) * (1 - field.ctx.eps), abs(v) * (1 + field.ctx.eps), field.tau_root):
+            assert field.within(v, bound) == (exact(z.real) ** 2 + exact(z.imag) ** 2 <= exact(bound) ** 2)
+
+
+def test_other_backends_compare_abs():
+    exact, machine = bq.ExactField(), bq.scalars.MachineField()
+    assert exact.max_abs([Q(-3, 2), Q(1), Q(0)]) == Q(3, 2) and exact.max_abs([]) == 0
+    assert exact.largest([Q(0), Q(-2), Q(2)]) == 1 and exact.within(Q(-1, 2), Q(1, 2))
+    assert machine.max_abs([3j, -4.0, 0j]) == 4.0 and machine.largest([0j, 0.0]) is None
+    assert machine.within(1e-300j, 1e-300) and not machine.within(2.0, 1.5)
