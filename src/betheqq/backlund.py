@@ -159,12 +159,8 @@ def apply_simple(inst: QQInstance, sol: QQSolution, i: int
     new_twist = reflect_twist(i, inst.twist, cmat)
     lead = list(inst.lead)
     for j in range(1, inst.rank + 1):
-        if j == i:
-            continue
         aij = cmat.a(i, j)
-        if aij > 0:
-            lead[j - 1] = lead[j - 1] * lam ** aij
-        elif aij < 0:
+        if aij < 0:  # a_ii = 2, and CartanMatrix admits no positive a_ij
             lead[j - 1] = lead[j - 1] / lam ** (-aij)
     new_inst = QQInstance(inst.ctype, inst.points, new_twist, tuple(lead), inst.extra)
 

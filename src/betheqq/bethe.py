@@ -17,7 +17,6 @@ detect the same defect through independent computations.
 from __future__ import annotations
 
 import cmath
-import logging
 import random
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -25,10 +24,7 @@ from typing import Sequence
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
 from .polyalg import Poly, RationalFn, _gauss_jordan, poly_from_roots
 from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
-from .rootsys import Twist
 from .scalars import ExactField, Field, MachineField, NumericField
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -92,21 +88,29 @@ def _collision_guard(field: Field, denom, where: str, *at):
 class _System:
     """The Bethe equations of one instance at one twist scale: per color,
     xi_i, the poles ``(z_k, e_{k,i})``, the couplings ``{j: a_ji}`` and a
-    nonconstant cofactor p with p' and (p'/p)', coerced to ``field`` once.
-    Every view (bethe_residual, bethe_jacobian, verify_bethe, Newton)
-    evaluates ``equation``, so all agree bit for bit."""
+    nonconstant cofactor p with p' and (p'/p)', all in ``field``.  Every
+    view (bethe_residual, bethe_jacobian, verify_bethe, Newton) evaluates
+    ``equation``, so all agree bit for bit."""
 
     def __init__(self, field: Field, xis: tuple, poles: tuple, couplings: tuple, extra: tuple):
         self.field, self.xis, self.poles, self.couplings, self.extra = field, xis, poles, couplings, extra
 
     @staticmethod
-    def of(inst: QQInstance, field: Field | None = None) -> "_System":
-        """``inst``'s equations with coefficients in ``field`` (default: its own)."""
-        f, cmat, r = field or inst.field, inst.cartan, inst.rank
-        extra = [None if e is None or e.degree() == 0 else Poly.make(f, e.coeffs) for e in inst.extra]
-        return _System(f, tuple(map(f, inst.xis())),
-                       tuple(tuple((f(z), f(exps[i])) for z, exps in inst.points if exps[i]) for i in range(r)),
-                       tuple({j: f(cmat.a(j, i)) for j in range(1, r + 1) if cmat.a(j, i)} for i in range(1, r + 1)),
+    def of(inst: QQInstance) -> "_System":
+        """``inst``'s data, a nonconstant cofactor p as ``(p,)``, coerced by ``to``."""
+        r, cmat = inst.rank, inst.cartan
+        poles = tuple(tuple((z, exps[i]) for z, exps in inst.points if exps[i]) for i in range(r))
+        return _System(None, inst.xis(), poles,
+                       tuple({j: cmat.a(j, i) for j in range(1, r + 1) if cmat.a(j, i)} for i in range(1, r + 1)),
+                       tuple(None if e is None or e.degree() == 0 else (e,) for e in inst.extra)).to(inst.field)
+
+    def to(self, field: Field) -> "_System":
+        """The same equations with each coefficient coerced to ``field``; a
+        cofactor's derivatives are formed there."""
+        f = field
+        extra = [e and Poly.make(f, e[0].coeffs) for e in self.extra]
+        return _System(f, tuple(map(f, self.xis)), tuple(tuple((f(z), f(e)) for z, e in p) for p in self.poles),
+                       tuple({j: f(a) for j, a in c.items()} for c in self.couplings),
                        tuple(p and (p, p.deriv(), RationalFn.make(p.deriv(), p).deriv()) for p in extra))
 
     def at_scale(self, zeta: Sequence, k) -> "_System":
@@ -292,10 +296,15 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
     Log records carry ``context``, the retry ``"attempt"`` and the
     ``"jacobian_precision"`` of the step's direction (53: machine floats).
     """
+    return _newton(_system(inst), init, opts, log, polish, context)
+
+
+def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: list | None,
+            polish: bool, context: dict | None) -> BetheRoots:
+    """``solve_newton`` on the equations ``system``."""
     opts = opts or SolveOptions()
-    field = inst.field
-    system = _system(inst)
-    machine = _System.of(inst, _MACH) if isinstance(field, NumericField) and field.precision > 53 else None
+    field = system.field
+    machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
     rng = random.Random(opts.seed)
     damps = opts.damping_values(field)
@@ -308,8 +317,8 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
             delta = None
         if delta:
             yield 53, [field(d) for d in delta]
-        yield field.precision, _newton_direction(field, jac or bethe_jacobian(inst, rts),
-                                                 [-v for v in res], rts.flat())
+        jac = jac or system.sweep(rts, residual=False, jacobian=True)[2]
+        yield field.precision, _newton_direction(field, jac, [-v for v in res], rts.flat())
 
     def step(rts, res, worst, jac, converged):
         """The first accepted ``(roots, residuals, max, damping, precision)``,
@@ -384,22 +393,6 @@ class InfinitePartition:
         return InfinitePartition(tuple(tuple(field(w) for w in ws) for ws in w_sets))
 
 
-def _instance_point_sets(inst: QQInstance):
-    """Z_j = roots of Lambda_j; requires exponents in {0,1} per color."""
-    sets = []
-    for i in range(inst.rank):
-        if inst.extra[i] is not None and inst.extra[i].degree() > 0:
-            raise BadPartition("instances with polynomial cofactors cannot be partitioned")
-        zs = []
-        for z, exps in inst.points:
-            if exps[i] > 1:
-                raise BadPartition(f"Lambda_{i + 1} has a multiple root; squarefree mode requires exponents <= 1")
-            if exps[i] == 1:
-                zs.append(z)
-        sets.append(tuple(zs))
-    return sets
-
-
 def _match(field: Field, value, pool) -> int | None:
     for idx, p in enumerate(pool):
         if (value == p) if isinstance(field, ExactField) else abs(value - p) <= field.tau_root:
@@ -407,18 +400,24 @@ def _match(field: Field, value, pool) -> int | None:
     return None
 
 
-def infinite_solution(inst: QQInstance, part: InfinitePartition) -> QQSolution:
-    """Solution of the product system q+_j q-_j = Lambda_j prod (q+_k)^(-a_{kj}).
-
-    Validates the combinatorial constraints: every W_j is drawn from the
-    multiplicity-free pool Z_j u U_{a_{kj}<0} W_k, and the instance must be
-    simply laced with squarefree, pairwise-disjoint Lambda root sets.
+def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
+    """Validate ``part`` once, in the instance's field: every W_j is drawn
+    from the multiplicity-free pool Z_j u U_{a_{kj}<0} W_k (Z_j the roots of
+    Lambda_j), and the instance must be simply laced with squarefree,
+    pairwise-disjoint Z_j.  Returns per color j the source of each root of
+    W_j, ``(0, i)`` for point i of Z_j or ``(k, t)`` for root t of W_k, and
+    the pool that W_j leaves (the roots of q-_j).
     """
     field = inst.field
     if not inst.ctype.is_simply_laced:
         raise BadPartition(f"infinite system seeding requires a simply-laced type, not {inst.ctype}")
     cmat = inst.cartan
-    z_sets = _instance_point_sets(inst)
+    for i in range(inst.rank):
+        if inst.extra[i] is not None and inst.extra[i].degree() > 0:
+            raise BadPartition("instances with polynomial cofactors cannot be partitioned")
+        if any(exps[i] > 1 for _, exps in inst.points):
+            raise BadPartition(f"Lambda_{i + 1} has a multiple root; squarefree mode requires exponents <= 1")
+    z_sets = [[z for z, exps in inst.points if exps[i] == 1] for i in range(inst.rank)]
     for i in range(inst.rank):
         for j in range(i + 1, inst.rank):
             for z in z_sets[i]:
@@ -426,130 +425,113 @@ def infinite_solution(inst: QQInstance, part: InfinitePartition) -> QQSolution:
                     raise BadPartition(f"Z_{i + 1} and Z_{j + 1} share a point")
     if len(part.w_sets) != inst.rank:
         raise BadPartition("partition needs one W set per color")
-    q_plus, q_minus = [], []
+    sources, rests = [], []
     for j in range(1, inst.rank + 1):
-        pool = list(z_sets[j - 1])
+        pool, tags = list(z_sets[j - 1]), [(0, i) for i in range(len(z_sets[j - 1]))]
         for k in range(1, inst.rank + 1):
             if k != j and cmat.a(k, j) < 0:
                 pool.extend(part.w_sets[k - 1])
+                tags.extend((k, t) for t in range(len(part.w_sets[k - 1])))
         # multiplicity-free right-hand side
         for a in range(len(pool)):
             for b in range(a + 1, len(pool)):
                 if _match(field, pool[a], [pool[b]]) is not None:
                     raise BadPartition(f"multiplicity in the color-{j} product")
-        remaining = list(pool)
+        src = []
         for w in part.w_sets[j - 1]:
-            idx = _match(field, w, remaining)
+            idx = _match(field, w, pool)
             if idx is None:
                 raise BadPartition(f"W_{j} is not contained in its pool")
-            remaining.pop(idx)
-        q_plus.append(poly_from_roots(field, part.w_sets[j - 1]))
-        q_minus.append(poly_from_roots(field, remaining))
-    return QQSolution.make(q_plus, q_minus)
+            pool.pop(idx)
+            src.append(tags.pop(idx))
+        sources.append(src)
+        rests.append(pool)
+    return sources, rests
 
 
-def _seed_positions(inst: QQInstance, part: InfinitePartition, xis) -> BetheRoots:
-    """First-order seed w ~ source - c/xi at a large twist.
+def infinite_solution(inst: QQInstance, part: InfinitePartition) -> QQSolution:
+    """Solution of the product system q+_j q-_j = Lambda_j prod (q+_k)^(-a_{kj}).
 
-    Each root collides, as the twist grows, with a unique source: a point of
-    its own Z_j or a root of an adjacent color.  The source assignment must
-    be well-founded (no cycles), otherwise no large-twist branch exists.
+    Validates the partition (``_partition_sources``); q-_j has the roots that
+    W_j leaves in its pool.  Cyclic sources pass; ``seed_and_continue``
+    rejects them.
     """
     field = inst.field
-    cmat = inst.cartan
-    z_sets = _instance_point_sets(inst)
-    slots = [(j, s) for j in range(1, inst.rank + 1) for s in range(len(part.w_sets[j - 1]))]
-    source: dict = {}
-    for j, s in slots:
-        w = part.w_sets[j - 1][s]
-        if _match(field, w, z_sets[j - 1]) is not None:
-            source[(j, s)] = None  # anchored at a fixed point
-            continue
-        anchored = False
-        for k in range(1, inst.rank + 1):
-            if k == j or cmat.a(k, j) >= 0:
-                continue
-            idx = _match(field, w, part.w_sets[k - 1])
-            if idx is not None:
-                source[(j, s)] = (k, idx)
-                anchored = True
-                break
-        if not anchored:
-            raise BadPartition(f"root {w} of color {j} has no source")
-    # topological order over the source chains
-    order, state = [], {slot: 0 for slot in slots}
+    rests = _partition_sources(inst, part)[1]
+    return QQSolution.make([poly_from_roots(field, ws) for ws in part.w_sets],
+                           [poly_from_roots(field, rest) for rest in rests])
 
-    def visit(slot):
-        if state[slot] == 1:
+
+def _seed_positions(system: _System, w_sets: Sequence, sources: list) -> BetheRoots:
+    """First-order seed w ~ source - 1/xi at the large twist of ``system``,
+    for the partition ``w_sets`` in its field with ``sources`` from
+    ``_partition_sources``.  Each root collides with its source as the twist
+    grows; with a cycle among the sources no large-twist branch exists.
+    """
+    one, xis, pos = system.field.one, system.xis, {}
+
+    def place(slot, path=()):
+        """Seed ``slot`` after its source; ``pos`` thus fills in post-order."""
+        if slot in path:
             raise BadPartition("cyclic source assignment; no large-twist branch exists")
-        if state[slot] == 2:
-            return
-        state[slot] = 1
-        src = source[slot]
-        if src is not None:
-            visit(src)
-        state[slot] = 2
-        order.append(slot)
+        if slot not in pos:
+            j, s = slot
+            src = sources[j - 1][s]
+            base = w_sets[j - 1][s] if src[0] == 0 else place(src, path + (slot,))
+            pos[slot] = base - one / xis[j - 1]
+        return pos[slot]
 
-    for slot in slots:
-        visit(slot)
-    pos = {}
-    for j, s in order:
-        w = part.w_sets[j - 1][s]
-        base = w if source[(j, s)] is None else pos[source[(j, s)]]
-        pos[(j, s)] = base - field.one / xis[j - 1]
+    for j, ws in enumerate(w_sets, start=1):
+        for s in range(len(ws)):
+            place((j, s))
     # one refinement sweep with the regular parts included
-    for j, s in order:
-        w = part.w_sets[j - 1][s]
-        base = w if source[(j, s)] is None else pos[source[(j, s)]]
+    for j, s in list(pos):
+        src = sources[j - 1][s]
+        base = w_sets[j - 1][s] if src[0] == 0 else pos[src]
         reg = xis[j - 1]
-        for z, exps in inst.points:
-            if exps[j - 1] and not field.eq(z, w):
-                reg = reg + field(exps[j - 1]) / (pos[(j, s)] - z)
-        for k in range(1, inst.rank + 1):
-            akj = cmat.a(k, j)
-            if akj == 0:
-                continue
-            for t in range(len(part.w_sets[k - 1])):
-                if (k, t) == (j, s) or (k, t) == source[(j, s)]:
+        for i, (z, e) in enumerate(system.poles[j - 1]):
+            if src != (0, i):
+                reg = reg + e / (pos[(j, s)] - z)
+        for k, a in system.couplings[j - 1].items():
+            for t in range(len(w_sets[k - 1])):
+                if (k, t) == (j, s) or (k, t) == src:
                     continue
                 denom = pos[(j, s)] - pos[(k, t)]
-                if field.abs(denom) > 0:
-                    reg = reg - field(akj) / denom
-        pos[(j, s)] = base - field.one / reg
-    return BetheRoots(tuple(tuple(pos[(j, s)] for s in range(len(part.w_sets[j - 1])))
-                            for j in range(1, inst.rank + 1)))
+                if abs(denom) > 0:
+                    reg = reg - a / denom
+        pos[(j, s)] = base - one / reg
+    return BetheRoots(tuple(tuple(pos[(j, s)] for s in range(len(ws))) for j, ws in enumerate(w_sets, start=1)))
 
 
 def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                       opts: SolveOptions | None = None, log: list | None = None) -> BetheRoots:
     """Track Bethe roots from the infinite system down to the target twist.
 
-    The first-order deformation of the infinite-system roots at twist scale
-    ``t_top`` starts a path along the seeded complex detour ``t(s) =
-    t_top^(1-s) exp(i bump s(1-s))``, s from 0 to 1.  Each step predicts
-    along the Euler tangent ``dw/ds = -J^-1 (dF/dt)(dt/ds)``, changing no
-    root gap by more than itself, and corrects with at most three Newton
-    iterations to the machine ``tau_root`` relative to the twist.  The step
-    starts at ``1 / (opts.continuation - 1)``, doubles after an accepted
-    step and halves after a rejected one; below ``_MIN_STEP`` the
-    corrector's last failure is raised (a collision as ``PathCollision``).
-    The path runs in machine floats (``MachineField``) on a shifted and
-    rescaled copy of the instance, or in the caller's field when the points
-    spread too wide, from ``t_top = tau_root^(-1/2) / sigma`` of the tracking
-    field, sigma = min(1, min|xi| * spacing); each scale's Bethe equations
-    are derived from the tracked copy's without coercing them again.  A
-    refinement in the caller's field polishes the roots to its precision
-    floor, with Newton directions from machine-float Jacobians when it is
-    wider than 53 bits (see ``solve_newton``).  Log records carry ``"phase"``
-    (``"track"`` or ``"refine"``); tracking records also carry ``"s"``, the
-    step ``"h"`` and the coordinate scale ``"k"``.
+    Each root is seeded to first order from its source (``_partition_sources``)
+    at twist scale ``t_top`` and tracked along the seeded complex detour
+    ``t(s) = t_top^(1-s) exp(i bump s(1-s))``, s from 0 to 1.  Each step
+    predicts along the Euler tangent ``dw/ds = -J^-1 (dF/dt)(dt/ds)``,
+    changing no root gap by more than itself, and corrects with at most
+    three Newton iterations to the machine ``tau_root`` relative to the
+    twist.  The step starts at ``1 / (opts.continuation - 1)``, doubles
+    after an accepted step and halves after a rejected one; below
+    ``_MIN_STEP`` the corrector's last failure is raised (a collision as
+    ``PathCollision``).  The path runs on the caller's Bethe equations,
+    shifted, rescaled and coerced once to machine floats (``MachineField``),
+    or kept in the caller's field when the points spread too wide, from
+    ``t_top = tau_root^(-1/2) / sigma`` of the tracking field, sigma =
+    min(1, min|xi| * spacing); ``_System.at_scale`` gives each scale's
+    equations.  A refinement in the caller's field polishes the roots to its
+    precision floor, with Newton directions from machine-float Jacobians
+    when it is wider than 53 bits (see ``solve_newton``).  Log records carry
+    ``"phase"`` (``"track"`` or ``"refine"``); tracking records also carry
+    ``"s"``, the step ``"h"`` and the coordinate scale ``"k"``.
     """
     opts = opts or SolveOptions()
     field = inst.field
     if isinstance(field, ExactField):
         raise NoConvergence("continuation requires the numeric backend")
-    infinite_solution(inst, part)  # validates the partition
+    sources = _partition_sources(inst, part)[0]
     xis = inst.xis()
     if any(x == 0 for x in xis):
         raise ValueError("continuation target must pair nonzero with every simple root; "
@@ -558,8 +540,8 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         return BetheRoots(tuple(() for _ in range(inst.rank)))
 
     # The equations keep their form under w, z -> c (w - b), xi -> xi / c
-    # (partitioned cofactors are constants).  The tracked copy has max|xi| =
-    # sigma and its points at least 1 apart, so from t_top every seed starts
+    # (partitioned cofactors are constants).  The tracked ones have max|xi| =
+    # sigma and points at least 1 apart, so from t_top every seed starts
     # between tau_root^(1/2) and tau_root^(1/2) times the spacing from its
     # source.  Each step rescales again (``correct``), so the guards and pivot
     # thresholds of the tracking field act relative to the geometry.
@@ -572,10 +554,11 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     track = mach = _MACH
     if dists and c * max(dists) > _MACH_SPREAD:
         track = field
-    target = QQInstance.make(inst.ctype, track, [(c * (z - b), e) for z, e in inst.points],
-                             [x / c for x in inst.twist.zeta], inst.lead,
-                             [None if e is None else Poly.make(track, e.coeffs) for e in inst.extra])
-    part = InfinitePartition.make(track, [[c * (w - b) for w in ws] for ws in part.w_sets])
+    system = _system(inst)  # shifted, rescaled and coerced once; at_scale forms each xi_i
+    tracked = _System(field, system.xis, tuple(tuple((c * (z - b), e) for z, e in p) for p in system.poles),
+                      system.couplings, system.extra).to(track)
+    zeta = [track(x / c) for x in inst.twist.zeta]
+    w_sets = [[track(c * (w - b)) for w in ws] for ws in part.w_sets]
     ctx = track.ctx
     t_top = track.tau_root ** -0.5 / track(sigma).real
     # detour the scale through the complex plane (seeded), so the path avoids
@@ -584,19 +567,14 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     bump = ctx.mpf(rng.uniform(0.8, 2.4)) * (1 if rng.random() < 0.5 else -1)
     ladder = replace(opts, damping=tuple(opts.damping_values(track)))
     inner = replace(ladder, max_iterations=min(3, opts.max_iterations))
-    lo = min(abs(x) for x in target.xis())
-    base = _system(target)
+    lo = min(abs(x) for x in tracked.at_scale(zeta, 1).xis)
 
     def scale(s):
         return t_top ** (1 - s) * ctx.exp(ctx.mpc(0, 1) * bump * s * (1 - s))
 
     def at_scale(t, k):
-        """The tracked copy at twist scale t, in coordinates multiplied by k,
-        with its Bethe equations derived from the target's, not coerced again."""
-        zeta = tuple(z * t / k for z in target.twist.zeta)
-        at = replace(target, points=tuple((k * z, e) for z, e in target.points), twist=Twist(track, zeta))
-        vars(at)["_bethe"] = base.at_scale(zeta, k)
-        return at
+        """The tracked equations at twist scale t, in coordinates multiplied by k."""
+        return tracked.at_scale(tuple(z * t / k for z in zeta), k)
 
     def correct(roots, k, s, h, step_opts):
         # keep the closest pair that may not collide within [1/16, 16] by
@@ -604,18 +582,17 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         # to the smallest |xi| at this scale (at least tau_root^2)
         t = scale(s)
         at = at_scale(t, k)
-        gap = min(abs(w - v) for w, v in _root_pairs(_system(at), roots))
+        gap = min(abs(w - v) for w, v in _root_pairs(at, roots))
         if not 1 / 16 <= gap <= 16 and gap > 0:
             roots = BetheRoots(tuple(tuple(w / gap for w in color) for color in roots.roots))
             k = k / gap
             at = at_scale(t, k)
         tol = mach.tau_root * max(mach.tau_root, lo * abs(t) / k)
-        return solve_newton(at, roots, replace(step_opts, tolerance=tol), log=log,
-                            context={"phase": "track", "s": s, "h": h, "k": float(k)}), k
+        return _newton(at, roots, replace(step_opts, tolerance=tol), log, False,
+                       {"phase": "track", "s": s, "h": h, "k": float(k)}), k
 
     try:
-        top = at_scale(scale(0.0), 1)
-        roots, k = correct(_seed_positions(top, part, _system(top).xis), 1, 0.0, 0.0, ladder)
+        roots, k = correct(_seed_positions(at_scale(scale(0.0), 1), w_sets, sources), 1, 0.0, 0.0, ladder)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
@@ -624,13 +601,13 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                 # Euler predictor: F(w, t(s)) = 0 with dF_i/dt = xi_i / t at scale t
                 at = at_scale(scale(s), k)
                 dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
-                rhs = [-xi * dlog for xi, color in zip(_system(at).xis, roots.roots) for _ in color]
-                tangent = _newton_direction(track, bethe_jacobian(at, roots), rhs)
-                gaps = [w - v for w, v in _root_pairs(_system(at), roots)]
+                rhs = [-xi * dlog for xi, color in zip(at.xis, roots.roots) for _ in color]
+                tangent = _newton_direction(track, at.sweep(roots, residual=False, jacobian=True)[2], rhs)
+                gaps = [w - v for w, v in _root_pairs(at, roots)]
             nxt = min(1.0, s + h)
             pred = roots.replace_flat([w + (nxt - s) * d for w, d in zip(roots.flat(), tangent)])
             # no gap may change by more than itself: guards against path jumping
-            pairs = _root_pairs(_system(at), pred)
+            pairs = _root_pairs(at, pred)
             if any(abs(w - v - g0) > abs(g0) for (w, v), g0 in zip(pairs, gaps)):
                 h /= 2
                 continue

@@ -154,12 +154,11 @@ def cmd_chain(args) -> int:
         trace = chain(inst, sol, word, retry_seed=args.seed)
     except ChainBroken as exc:
         report.check(f"chain_step_{exc.step}", False, str(exc.cause))
-        _write_json(args.out, fileio.trace_to_doc(exc.trace))
-        _write_json(None, report.finish(time.monotonic() - t0))
-        return EXIT_CHECK
-    for n, step in enumerate(trace.steps, start=1):
-        report.check(f"step_{n}_s{step.index}_composable", step.composable)
-        report.check(f"step_{n}_s{step.index}_generic", step.generic)
+        trace = exc.trace  # the steps before the break
+    else:
+        for n, step in enumerate(trace.steps, start=1):
+            report.check(f"step_{n}_s{step.index}_composable", step.composable)
+            report.check(f"step_{n}_s{step.index}_generic", step.generic)
     doc = fileio.trace_to_doc(trace)
     if args.out:
         _write_json(args.out, doc)

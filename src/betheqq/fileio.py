@@ -49,12 +49,7 @@ def field_from_doc(doc: dict, backend_override: str | None = None,
     backend = backend_override or doc.get("backend", "exact")
     precision = precision_override or int(doc.get("precision_bits", 256))
     tols = doc.get("tolerances", {}) or {}
-    tau = tau_root = None
-    if backend == "numeric":
-        probe = NumericField(precision)
-        tau = probe.ctx.mpf(tols["tau"]) if "tau" in tols else None
-        tau_root = probe.ctx.mpf(tols["tau_root"]) if "tau_root" in tols else None
-    return make_field(backend, precision, tau=tau, tau_root=tau_root)
+    return make_field(backend, precision, tau=tols.get("tau"), tau_root=tols.get("tau_root"))
 
 
 def instance_from_doc(doc: dict, backend_override: str | None = None,

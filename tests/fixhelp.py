@@ -97,10 +97,11 @@ def random_bijection_case(rng: random.Random, rank: int, field):
                             wsets[j].append(w)
         part = bq.InfinitePartition.make(field, [[field(w) for w in ws] for ws in wsets])
         try:
-            bq.infinite_solution(inst, part)
-            from betheqq.bethe import _seed_positions
+            from betheqq.bethe import _partition_sources, _seed_positions, _System
 
-            _seed_positions(inst, part, [x * field.ctx.mpf(2) ** 40 for x in inst.xis()])
+            sources = _partition_sources(inst, part)[0]
+            large = _System.of(inst).at_scale([z * field.ctx.mpf(2) ** 40 for z in inst.twist.zeta], 1)
+            _seed_positions(large, part.w_sets, sources)
         except bq.BadPartition:
             continue
         return inst, part

@@ -158,6 +158,18 @@ class TestNewton:
         assert abs(roots.roots[0][0] - offset - N(2) / 3) < N.ctx.mpf("1e-60")
         assert {r["jacobian_precision"] for r in log if not r.get("converged")} == precisions
 
+    def test_cofactor_machine_directions(self):
+        # 3 + 1/w + 2w/(w^2 + 1) = 0: above 53 bits the nonconstant cofactor's
+        # p, p' and (p'/p)' are coerced to machine floats for the directions
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(3, 2)],
+                                  extra=[bq.Poly.make(N, [1, 0, 1])])
+        root = N("-0.44249333402444210332816501066469")
+        log = []
+        roots = bq.solve_newton(inst, bq.BetheRoots.make(N, [[root + N("1e-3")]]), log=log)
+        assert bq.verify_bethe(inst, roots).ok
+        assert abs(roots.roots[0][0] - root) < N.ctx.mpf("1e-30")
+        assert log and all(r["jacobian_precision"] == 53 for r in log)
+
     def test_max_residual_is_max_abs(self):
         inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
                                   [(0, (1, 0)), (3, (0, 1)), (N([1, 2]), (1, 1))], [Q(2, 3), Q(1, 5)])
@@ -358,6 +370,23 @@ class TestContinuation:
                                      bq.SolveOptions(seed=3))
         assert jacobians == []
         assert 0 < len(residuals) <= 8
+        assert bq.verify_bethe(inst, roots).ok
+
+    def test_tracking_builds_no_instance(self, monkeypatch):
+        # the path runs on the caller's Bethe equations, shifted, rescaled and
+        # coerced once: no tracked copy and no instance per scale is built
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
+        part = bq.InfinitePartition.make(N, [[0], [3]])
+        init, built = bq.QQInstance.__init__, []
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bq.QQInstance, "__init__", counting)
+        roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=3))
+        assert len(built) == 0
         assert bq.verify_bethe(inst, roots).ok
 
     def test_newton_work_per_path(self):

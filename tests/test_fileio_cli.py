@@ -69,6 +69,16 @@ class TestDocumentRoundTrips:
         other, _, _ = a2_rational()
         assert fileio.instance_digest(inst) != fileio.instance_digest(other)
 
+    def test_tolerances(self):
+        # a numeric document's tolerance literals are parsed at its precision;
+        # an exact one ignores them
+        doc = fileio.instance_to_doc(a1_standard()[0])
+        doc.update(backend="numeric", precision_bits=200, tolerances={"tau": "1e-30", "tau_root": "1e-12"})
+        field = fileio.instance_from_doc(doc).field
+        expected = bq.NumericField(200, tau="1e-30", tau_root="1e-12")
+        assert (field.precision, field.tau, field.tau_root) == (200, expected.tau, expected.tau_root)
+        assert isinstance(fileio.instance_from_doc(doc, backend_override="exact").field, bq.ExactField)
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -180,7 +190,7 @@ class TestCliSolve:
         def colliding(*args, **kwargs):
             raise bq.PoleCollision("vanishing denominator")
 
-        monkeypatch.setattr(betheqq.bethe, "solve_newton", colliding)
+        monkeypatch.setattr(betheqq.bethe, "_newton", colliding)
         N = bq.NumericField(256)
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
         ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
@@ -206,6 +216,28 @@ class TestCliChainFoldDiag:
         trace = report["artifacts"]["trace"]
         assert trace["fully_composable"] and trace["fully_generic"]
         assert trace["steps"][0]["mu"]["num"] and trace["steps"][0]["mu"]["den"]
+
+    def test_chain_broken_reports_partial_trace(self, tmp_path, capsys, monkeypatch):
+        # stdout stays one JSON document: the partial trace is an artifact
+        import betheqq.backlund
+
+        inst, _, sol = a2_rational()
+        ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
+        spath = _write(tmp_path, "s.json", fileio.solution_to_doc(F, sol))
+        calls, real = [], betheqq.backlund._complete_color
+
+        def flaky(cinst, q_plus, i, shift=None):
+            calls.append(i)
+            if len(calls) >= 3:
+                raise bq.InconsistentSystem(i, "forced")
+            return real(cinst, q_plus, i, shift=shift)
+
+        monkeypatch.setattr(betheqq.backlund, "_complete_color", flaky)
+        assert main(["chain", ipath, spath, "--word", "1,2,1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert any(c["name"].startswith("chain_step_") and c["pass"] is False for c in report["checks"])
+        assert "steps" in report["artifacts"]["trace"]
 
     def test_admissible_pass_and_fail(self, tmp_path, capsys):
         datum = {"cartan": {"family": "A", "rank": 1}, "d": [1], "N": [1]}
