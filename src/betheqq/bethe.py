@@ -24,7 +24,7 @@ from typing import Sequence
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
 from .polyalg import Poly, RationalFn, _gauss_jordan, poly_from_roots
 from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
-from .scalars import ExactField, Field, MachineField, NumericField
+from .scalars import ExactField, Field, MachineField, NumericField, residual_repr
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
 
     def record(it, worst, alpha, prec, attempt, **extra):
         if log is not None:
-            log.append({"step": it, "max_residual": float(worst), "damping": float(alpha),
+            log.append({"step": it, "max_residual": residual_repr(field, worst), "damping": float(alpha),
                         "precision": field.precision, "jacobian_precision": prec, "attempt": attempt,
                         **extra, **(context or {})})
 

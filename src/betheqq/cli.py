@@ -31,7 +31,7 @@ from .polyalg import roots as poly_roots
 from .bethe import BetheRoots
 from .opermat import diagonalize_type_a, regularity_residues, verify_mp_twist
 from .qqcore import check_nondegenerate, equation_holds, fold, qq_residual
-from .rootsys import cartan_matrix
+from .scalars import residual_repr
 
 EXIT_OK, EXIT_CHECK, EXIT_INPUT, EXIT_SOLVER = 0, 1, 2, 3
 
@@ -78,13 +78,13 @@ def _verify_one(inst, sol, report) -> None:
     for i in range(1, inst.rank + 1):
         res = qq_residual(inst, sol, i)
         report.check(f"qq_residual_{i}", equation_holds(inst, sol, i, res),
-                     fileio.residual_repr(field, res.norm()))
+                     residual_repr(field, res.norm()))
     nd = check_nondegenerate(inst, sol.q_plus)
     report.check("nondegenerate", nd.ok)
     for i in range(1, inst.rank + 1):
         res = verify_mp_twist(inst, sol, i)
         report.check(f"mp_twist_{i}", field.is_zero(res, scale=1),
-                     fileio.residual_repr(field, res))
+                     residual_repr(field, res))
     rts = _extract_roots(inst, sol)
     if rts is None:
         report.check("regularity_residues", None, "skipped: roots not extractable")
@@ -96,9 +96,9 @@ def _verify_one(inst, sol, report) -> None:
         return
     worst = max((field.abs(v) for v in reg.values()), default=field.abs(field.zero))
     report.check("regularity_residues", worst <= field.tau,
-                 fileio.residual_repr(field, worst))
+                 residual_repr(field, worst))
     bet = verify_bethe(inst, rts)
-    report.check("bethe_residuals", bet.ok, fileio.residual_repr(field, bet.max_residual))
+    report.check("bethe_residuals", bet.ok, residual_repr(field, bet.max_residual))
 
 
 def cmd_verify(args) -> int:
@@ -118,6 +118,8 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args)
     field = inst.field
     seed_doc = _load_json(args.start)
+    if args.steps <= 0:
+        raise ParseError(f"--steps must be positive, got {args.steps}")
     opts = SolveOptions(seed=args.seed, continuation=args.steps)
     t0 = time.monotonic()
     report = fileio.Report("solve", inst, seed=args.seed)
@@ -132,7 +134,7 @@ def cmd_solve(args) -> int:
     _emit_log(log)
     sol = roots_to_solution(inst, roots)
     bet = verify_bethe(inst, roots)
-    report.check("bethe_residuals", bet.ok, fileio.residual_repr(field, bet.max_residual))
+    report.check("bethe_residuals", bet.ok, residual_repr(field, bet.max_residual))
     _verify_one(inst, sol, report)
     report.artifact("roots", fileio.roots_to_doc(field, roots)["roots"])
     sol_doc = fileio.solution_to_doc(field, sol)
@@ -147,7 +149,7 @@ def cmd_solve(args) -> int:
 def cmd_chain(args) -> int:
     inst = _load_instance(args)
     sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
-    word = fileio.word_from_arg(args.word, inst.rank)
+    word = fileio.word_from_arg(args.word, inst.ctype)
     t0 = time.monotonic()
     report = fileio.Report("chain", inst, seed=args.seed)
     try:
@@ -172,25 +174,16 @@ def cmd_admissible(args) -> int:
     doc = _load_json(args.instance)
     t0 = time.monotonic()
     if "d" in doc and "N" in doc:  # bare combinatorial datum
-        from .rootsys import CartanType
-
-        ctype = CartanType(doc["cartan"]["family"], int(doc["cartan"]["rank"]))
-        datum = CombinatorialDatum(tuple(doc["d"]), tuple(doc["N"]),
-                                   frozenset(doc.get("psi", [])), bool(doc.get("psi_all", False)))
-        cmat = cartan_matrix(ctype)
-        rank = ctype.rank
+        ctype, datum = fileio.datum_from_doc(doc)
         report = fileio.Report("admissible")
     else:
         inst = _load_instance(args)
         if args.degrees is None:
             raise ParseError("an instance file needs --degrees d1,d2,... for admissibility")
-        d = [int(x) for x in args.degrees.replace(",", " ").split()]
-        datum = CombinatorialDatum.from_instance(inst, d)
-        cmat = inst.cartan
-        rank = inst.rank
+        ctype = inst.ctype
+        datum = CombinatorialDatum.from_instance(inst, fileio.degrees_from_arg(args.degrees, inst.rank))
         report = fileio.Report("admissible", inst)
-    word = fileio.word_from_arg(args.word, rank)
-    adm = check_admissible(datum, word, cmat)
+    adm = check_admissible(datum, fileio.word_from_arg(args.word, ctype), ctype.cartan)
     for pc in adm.prefixes:
         report.check(f"prefix_{pc.prefix}", pc.holds, residual=str(list(pc.degrees)))
     _write_json(None, report.finish(time.monotonic() - t0))
@@ -207,7 +200,7 @@ def cmd_fold(args) -> int:
     for i in range(1, new_inst.rank + 1):
         res = qq_residual(new_inst, new_sol, i)
         report.check(f"folded_qq_residual_{i}", equation_holds(new_inst, new_sol, i, res),
-                     fileio.residual_repr(field, res.norm()))
+                     residual_repr(field, res.norm()))
     idoc = fileio.instance_to_doc(new_inst)
     sdoc = fileio.solution_to_doc(field, new_sol)
     if args.out:
@@ -224,13 +217,13 @@ def cmd_fold(args) -> int:
 def cmd_diagonalize(args) -> int:
     inst = _load_instance(args)
     sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
-    word = fileio.word_from_arg(args.word, inst.rank)
+    word = fileio.word_from_arg(args.word, inst.ctype, longest=True)
     t0 = time.monotonic()
     report = fileio.Report("diagonalize", inst, seed=args.seed)
     diag = diagonalize_type_a(inst, sol, word)
     field = inst.field
     report.check("conjugation_identity", field.is_zero(diag.residual, scale=1),
-                 fileio.residual_repr(field, diag.residual))
+                 residual_repr(field, diag.residual))
     mdoc = fileio.matrix_to_doc(field, diag.v)
     if args.out:
         _write_json(args.out, mdoc)

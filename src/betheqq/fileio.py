@@ -13,14 +13,14 @@ import hashlib
 import json
 from typing import Any
 
-from .backlund import ChainTrace
+from .backlund import ChainTrace, CombinatorialDatum
 from .bethe import BetheRoots, InfinitePartition
 from .errors import ParseError
 from .opermat import RatMatrix
 from .polyalg import Poly, RationalFn
 from .qqcore import QQInstance, QQSolution
-from .rootsys import CartanType, WeylWord
-from .scalars import ExactField, Field, NumericField, make_field
+from .rootsys import CartanType, WeylWord, is_reduced
+from .scalars import Field, NumericField, make_field
 
 
 def scalar_to_doc(field: Field, x) -> Any:
@@ -160,14 +160,40 @@ def matrix_to_doc(field: Field, mat: RatMatrix) -> dict:
     return {"entries": [[rational_to_doc(field, e) for e in row] for row in mat.entries]}
 
 
-def word_from_arg(text, rank: int) -> WeylWord:
-    if isinstance(text, (list, tuple)):
-        return WeylWord.make(text, rank)
+def word_from_arg(text, ctype: CartanType, longest: bool = False) -> WeylWord:
+    """A reduced word of ``ctype`` from "1,2,1"; with ``longest``, one as
+    long as the longest element."""
     try:
-        letters = [int(t) for t in str(text).replace(",", " ").split()]
+        word = WeylWord.make(str(text).replace(",", " ").split(), ctype.rank)
     except ValueError as exc:
         raise ParseError(f"bad word {text!r}: {exc}") from None
-    return WeylWord.make(letters, rank)
+    if not is_reduced(word, ctype.cartan):
+        raise ParseError(f"word {text!r} is not reduced")
+    if longest and len(word) != ctype.n_positive_roots:
+        raise ParseError(f"word {text!r} needs {ctype.n_positive_roots} letters for the longest element")
+    return word
+
+
+def degrees_from_arg(values, rank: int, name: str = "--degrees") -> tuple:
+    """One integer per color, from "1,2" or a sequence."""
+    try:
+        out = tuple(int(x) for x in (values.replace(",", " ").split() if isinstance(values, str) else values))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {name} {values!r}: {exc}") from None
+    if len(out) != rank:
+        raise ParseError(f"{name} needs {rank} entries, one per color, got {len(out)}")
+    return out
+
+
+def datum_from_doc(doc: dict) -> tuple[CartanType, CombinatorialDatum]:
+    """The type and combinatorial datum of a bare datum document."""
+    try:
+        ctype = CartanType(doc["cartan"]["family"], int(doc["cartan"]["rank"]))
+        return ctype, CombinatorialDatum(
+            degrees_from_arg(doc["d"], ctype.rank, "d"), degrees_from_arg(doc["N"], ctype.rank, "N"),
+            frozenset(doc.get("psi", [])), bool(doc.get("psi_all", False)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad datum document: {exc}") from exc
 
 
 # -- reports ----------------------------------------------------------------
@@ -175,14 +201,6 @@ def word_from_arg(text, rank: int) -> WeylWord:
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def residual_repr(field: Field, value) -> str:
-    """Human-readable residual magnitude."""
-    mag = field.abs(value) if not isinstance(value, str) else value
-    if isinstance(field, ExactField):
-        return "0" if mag == 0 else field.to_literal(mag)
-    return field.ctx.nstr(field.ctx.mpf(mag), 8)
 
 
 class Report:

@@ -184,116 +184,53 @@ class Poly:
 
 
 def _mp_parts(ctx: MPContext, coeffs: Sequence):
-    """``(re_man, re_exp, im_man, im_exp)`` with signed integer mantissas for
-    each of ``coeffs``, or None unless every entry is a finite mpf or mpc of
-    ``ctx`` and ``ctx`` rounds to nearest."""
+    """``(man, exp)`` with a signed integer mantissa for each of ``coeffs``,
+    or None unless every entry is a finite real mpf or mpc of ``ctx`` and
+    ``ctx`` rounds to nearest."""
     if ctx._prec_rounding[1] != "n":
         return None
     mpf, mpc = ctx.mpf, ctx.mpc
     parts = []
     for c in coeffs:
         kind = type(c)
-        if kind is mpc:
-            (rs, rm, re, _), (js, jm, je, _) = c._mpc_
+        if kind is mpc and c._mpc_[1] == fzero:
+            s, m, e, _ = c._mpc_[0]
         elif kind is mpf:
-            (rs, rm, re, _), js, jm, je = c._mpf_, 0, 0, 0
-        else:
+            s, m, e, _ = c._mpf_
+        else:  # complex, or not a scalar of ctx
             return None
-        if (re and not rm) or (je and not jm):  # inf or nan
+        if e and not m:  # inf or nan
             return None
-        parts.append((-rm if rs else rm, re, -jm if js else jm, je))
+        parts.append((-m if s else m, e))
     return parts
-
-
-def _rn(m: int, e: int, prec: int):
-    """``m * 2**e`` rounded to ``prec`` bits, ties to even (mpmath's
-    ``round_nearest``), as ``(m, e)``."""
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, e
-    q = m >> (n - 1)
-    if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)):
-        return (q >> 1) + 1, e + n
-    return q >> 1, e + n
-
-
-def _rn_add(m: int, e: int, t: int, te: int, prec: int):
-    """The rounded sum of two values of at most ``prec`` significant bits.
-
-    mpmath's ``mpf_add`` rounds such a sum correctly.  An operand more than
-    ``2 * prec + 4`` binades below the other cannot move it and is dropped.
-    """
-    if not t:
-        return m, e
-    if not m:
-        return t, te
-    d = e - te
-    if d > 2 * prec + 4:
-        return m, e
-    if d < -2 * prec - 4:
-        return t, te
-    if d > 0:
-        return _rn((m << d) + t, te, prec)
-    return _rn(m + (t << -d), e, prec)
-
-
-def _rn_dot(p: int, pe: int, q: int, qe: int, prec: int):
-    """``p * 2**pe + q * 2**qe`` for exact products, rounded as ``mpf_add``.
-
-    When the exponents differ by more than 100 and the leading bits by more
-    than ``prec + 4``, mpmath replaces the far operand by a sticky unit
-    below the near one, ``near << (prec + 4)`` plus or minus 1, and rounds
-    that.  On a near operand longer than ``prec`` bits this is not always
-    the correctly rounded sum, so it is copied here, not improved.
-    """
-    if not q:
-        return _rn(p, pe, prec)
-    if not p:
-        return _rn(q, qe, prec)
-    d = pe - qe
-    if d > 100 and d + p.bit_length() - q.bit_length() > prec + 4:
-        return _rn((p << (prec + 4)) + (1 if q > 0 else -1), pe - prec - 4, prec)
-    if d < -100 and q.bit_length() - p.bit_length() - d > prec + 4:
-        return _rn((q << (prec + 4)) + (1 if p > 0 else -1), qe - prec - 4, prec)
-    if d >= 0:
-        return _rn((p << d) + q, qe, prec)
-    return _rn(p + (q << -d), pe, prec)
 
 
 def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
     """Coefficients of the product of two nonzero coefficient vectors of
-    ``ctx`` scalars, as a trimmed tuple of mpc; None when
-    :func:`_mp_parts` rejects an operand.
+    real ``ctx`` scalars, as a trimmed tuple of mpc; None when
+    :func:`_mp_parts` rejects an operand, complex ones included.
 
     Bit for bit the loop ``out[i + j] = out[i + j] + a[i] * b[j]`` over
     mpc values, on integer mantissas: each coefficient adds its terms in
-    order of increasing ``i``.  A term's component is its exact products
-    summed and rounded once, as in mpmath's ``mpc_mul``, then added to the
-    accumulator with one more rounding.  Exactly zero products are skipped,
-    as mpmath's ``mpc_mul_mpf`` never forms those of a real factor's zero
-    imaginary part, so a real term costs one rounded product and one
-    rounded sum.
+    order of increasing ``i``.  A term is its exact product rounded once,
+    then added to the accumulator with one more rounding, both to nearest
+    with ties to even as mpmath's ``mpf_mul`` and ``mpf_add`` round them.
+    Exactly zero products are skipped, since adding one leaves the rounded
+    accumulator as it is; an operand more than ``2 * prec + 4`` binades
+    below the other cannot move the sum and is dropped.
     """
     pa, pb = _mp_parts(ctx, a), _mp_parts(ctx, b)
     if pa is None or pb is None:
         return None
     prec = ctx.prec
     na, nb = len(pa), len(pb)
-    real = not any(x[2] for x in pa) and not any(y[2] for y in pb)
     drop = 2 * prec + 4
     out = []
     for k in range(na + nb - 1):
-        rm = re = jm = je = 0
+        rm = re = 0
         for i in range(max(0, k - nb + 1), min(k + 1, na)):
-            xr, xre, xj, xje = pa[i]
-            yr, yre, yj, yje = pb[k - i]
-            if not real:
-                t, te = _rn_dot(xr * yr, xre + yre, -xj * yj, xje + yje, prec)
-                rm, re = _rn_add(rm, re, t, te, prec)
-                t, te = _rn_dot(xr * yj, xre + yje, xj * yr, xje + yre, prec)
-                jm, je = _rn_add(jm, je, t, te, prec)
-                continue
-            # real operands: _rn of the product, then _rn_add into rm, inlined
+            xr, xre = pa[i]
+            yr, yre = pb[k - i]
             t = xr * yr
             if not t:
                 continue
@@ -321,12 +258,11 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
                 q = rm >> (n - 1)
                 rm = (q >> 1) + 1 if q & 1 and (q & 2 or rm & ((1 << (n - 1)) - 1)) else q >> 1
                 re += n
-        out.append((rm, re, jm, je))
-    while out and not out[-1][0] and not out[-1][2]:
+        out.append((rm, re))
+    while out and not out[-1][0]:
         out.pop()
     make = ctx.make_mpc
-    return tuple(make((from_man_exp(rm, re), from_man_exp(jm, je) if jm else fzero))
-                 for rm, re, jm, je in out)
+    return tuple(make((from_man_exp(rm, re), fzero)) for rm, re in out)
 
 
 def chop(p: Poly, scale=None) -> Poly:

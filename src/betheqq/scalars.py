@@ -23,7 +23,7 @@ from typing import Any, Union
 
 from mpmath import fp
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fzero
+from mpmath.libmp import from_float, fzero, to_str
 
 from .errors import ParseError
 
@@ -245,3 +245,13 @@ def make_field(backend: str = "exact", precision: int = DEFAULT_PRECISION,
     if backend == "numeric":
         return NumericField(precision=precision, tau=tau, tau_root=tau_root)
     raise ParseError(f"unknown backend {backend!r}")
+
+
+def residual_repr(field: Field, value) -> str:
+    """A residual's magnitude: exact on the exact backend, else to 8
+    significant digits at any exponent (a float would underflow)."""
+    mag = field.abs(value)
+    if isinstance(field, ExactField):
+        return "0" if mag == 0 else field.to_literal(mag)
+    mag = field.ctx.mpf(mag)
+    return to_str(from_float(mag) if isinstance(mag, float) else mag._mpf_, 8)

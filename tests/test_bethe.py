@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 import betheqq as bq
+from betheqq.scalars import residual_repr
 from fixhelp import a1_standard, a2_rational, random_bijection_case, random_valid_roots
 
 F = bq.ExactField()
@@ -204,6 +205,21 @@ class TestNewton:
         assert all(r["precision"] == 256 for r in refine)
         assert all(r["attempt"] == 0 for r in log)
         assert all(r["jacobian_precision"] == 53 for r in log)
+
+    def test_log_residuals_below_float_range(self):
+        # at 2048 bits the polish goes far below 1e-308; the records keep
+        # 8 significant digits there instead of a float that reads 0.0
+        field = bq.NumericField(2048)
+        inst = a1_two_points(field)
+        log = []
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(field, [[1, 2]]),
+                                     bq.SolveOptions(seed=1), log=log)
+        worst = [field.ctx.mpf(r["max_residual"]) for r in log if r["phase"] == "refine"]
+        assert all(isinstance(r["max_residual"], str) for r in log)
+        assert all(0 < b <= a for a, b in zip(worst, worst[1:]))
+        assert worst[-1] < field.ctx.mpf("1e-600")
+        final = bq.verify_bethe(inst, roots).max_residual
+        assert log[-1]["converged"] and log[-1]["max_residual"] == residual_repr(field, final)
 
 
 class TestInfiniteSystem:

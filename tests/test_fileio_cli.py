@@ -278,6 +278,34 @@ class TestCliChainFoldDiag:
         assert len(mdoc["entries"]) == 3
 
 
+class TestCliInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["chain", "{a2}", "{a2sol}", "--word", "1,5"],
+        ["chain", "{a2}", "{a2sol}", "--word", "1,1"],
+        ["diagonalize", "{a2}", "{a2sol}", "--word", "1,2"],
+        ["admissible", "{a2}", "--word", "1", "--degrees", "1"],
+        ["solve", "{a1}", "{part}", "--steps", "0"],
+        ["admissible", "{no_cartan}", "--word", "1"],
+        ["admissible", "{short_d}", "--word", "1,2"],
+    ], ids=["letter-out-of-range", "word-not-reduced", "word-not-longest", "degrees-too-short",
+            "steps-zero", "datum-without-cartan", "datum-d-too-short"])
+    def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
+        # a bad argument is an input error: exit 2 and one stderr line, no report
+        inst, _, sol = a2_rational()
+        N = bq.NumericField(256)
+        a1 = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
+        docs = {"a2": fileio.instance_to_doc(inst), "a2sol": fileio.solution_to_doc(F, sol),
+                "a1": fileio.instance_to_doc(a1), "part": {"partition": [["2"]]},
+                "no_cartan": {"d": [1], "N": [1]},
+                "short_d": {"cartan": {"family": "A", "rank": 2}, "d": [1], "N": [1, 1]}}
+        paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ")
+
+
 class TestDeterminism:
     def test_reports_stable_modulo_walltime(self, a1_files, capsys):
         ipath, spath, *_ = a1_files

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import betheqq as bq
-from betheqq.polyalg import Poly, RationalFn, solve_linear_system
+from betheqq.polyalg import Poly, RationalFn, _mp_product, solve_linear_system
 
 F = bq.ExactField()
 
@@ -168,29 +168,15 @@ class TestNumericProduct:
             assert raw_bits(got) == raw_bits(want), (prec, trial)
             assert all(type(c) is field.ctx.mpc for c in got.coeffs)
 
-    @pytest.mark.parametrize("prec", [53, 256])
-    def test_far_operand_shortcut_of_mpf_add(self, prec):
-        # Each component of x*y sums two exact products whose leading bits lie
-        # prec+5..prec+60 binades apart.  mpmath's mpf_add then rounds
-        # near << (prec+4) +- 1 instead of the exact sum, which on products
-        # longer than prec bits is not always correctly rounded; at 256 bits
-        # a correctly rounding kernel differs on 11 of these 6000 terms.
-        field = bq.NumericField(prec)
-        ctx = field.ctx
-        rng = random.Random(5)
-
-        def full(lead):  # a random prec-bit mantissa with its top bit at 2**lead
-            m = rng.getrandbits(prec - 1) | (1 << (prec - 1))
-            return rng.choice((-1, 1)) * ctx.ldexp(ctx.mpf(m), lead - prec + 1)
-
-        y = Poly(field, (ctx.mpc(full(0), full(0)),))
-        for block in range(120):  # 6000 terms, 50 per product
-            xs = []
-            for _ in range(50):
-                near, far = full(0), full(-rng.randint(prec + 5, prec + 60))
-                xs.append(ctx.mpc(near, far) if rng.random() < 0.5 else ctx.mpc(far, near))
-            x = Poly(field, tuple(xs))
-            assert raw_bits(x * y) == raw_bits(scalar_product(x, y)), (prec, block)
+    def test_kernel_takes_real_operands_only(self):
+        # real operands run the integer kernel; a complex entry takes the scalar loop
+        ctx = bq.NumericField(256).ctx
+        real = [ctx.mpf(3) / 7, ctx.mpc(-2, 0), ctx.mpc(0)]
+        assert isinstance(_mp_product(ctx, real, real), tuple)
+        assert isinstance(_mp_product(ctx, [ctx.mpf(1)], [ctx.mpc(5, 0)]), tuple)
+        for odd in (ctx.mpc(1, 2), ctx.mpc(0, -1), ctx.mpc(1, ctx.inf)):
+            assert _mp_product(ctx, real + [odd], real) is None
+            assert _mp_product(ctx, real, [odd]) is None
 
     def test_exact_zeros_inside_kept_at_the_top_trimmed(self):
         field = bq.NumericField(256)
