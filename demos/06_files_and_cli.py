@@ -8,6 +8,7 @@ wires the library into batch workflows with a fixed exit-code contract:
 
 import json
 import pathlib
+import shutil
 import tempfile
 from fractions import Fraction as Q
 
@@ -50,3 +51,5 @@ print("\nsolution file written:", (work / "n.solution.json").exists())
 
 print("\nchain along the word '1' ->",
       main(["chain", str(ipath), str(spath), "--word", "1"]))
+
+shutil.rmtree(work)  # the demo leaves no files behind

@@ -29,6 +29,7 @@ from .qqcore import (
     check_nondegenerate,
     equation_holds,
     neighbor_product,
+    neighbor_sum,
 )
 from .rootsys import WeylWord, is_reduced, reflect_twist
 
@@ -64,11 +65,7 @@ def degree_map(datum: CombinatorialDatum, i: int, cartan) -> tuple:
     """Degrees after the transformation at color i:
     d'_i = N_i - d_i - sum_{k != i} a_{ki} d_k, others unchanged."""
     d = list(datum.d)
-    acc = datum.n[i - 1] - d[i - 1]
-    for k in range(1, len(d) + 1):
-        if k != i:
-            acc -= cartan.a(k, i) * d[k - 1]
-    d[i - 1] = acc
+    d[i - 1] = neighbor_sum(cartan, datum.d, i, datum.n[i - 1] - d[i - 1])
     return tuple(d)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
-from .polyalg import Poly, RationalFn, _gauss_jordan, poly_from_roots
+from .polyalg import Poly, RationalFn, _gauss_jordan, _near, poly_from_roots
 from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
 from .scalars import ExactField, Field, MachineField, NumericField, residual_repr
 
@@ -393,13 +393,6 @@ class InfinitePartition:
         return InfinitePartition(tuple(tuple(field(w) for w in ws) for ws in w_sets))
 
 
-def _match(field: Field, value, pool) -> int | None:
-    for idx, p in enumerate(pool):
-        if (value == p) if isinstance(field, ExactField) else abs(value - p) <= field.tau_root:
-            return idx
-    return None
-
-
 def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
     """Validate ``part`` once, in the instance's field: every W_j is drawn
     from the multiplicity-free pool Z_j u U_{a_{kj}<0} W_k (Z_j the roots of
@@ -420,9 +413,8 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
     z_sets = [[z for z, exps in inst.points if exps[i] == 1] for i in range(inst.rank)]
     for i in range(inst.rank):
         for j in range(i + 1, inst.rank):
-            for z in z_sets[i]:
-                if _match(field, z, z_sets[j]) is not None:
-                    raise BadPartition(f"Z_{i + 1} and Z_{j + 1} share a point")
+            if any(_near(field, z, z_sets[j]) is not None for z in z_sets[i]):
+                raise BadPartition(f"Z_{i + 1} and Z_{j + 1} share a point")
     if len(part.w_sets) != inst.rank:
         raise BadPartition("partition needs one W set per color")
     sources, rests = [], []
@@ -433,13 +425,11 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
                 pool.extend(part.w_sets[k - 1])
                 tags.extend((k, t) for t in range(len(part.w_sets[k - 1])))
         # multiplicity-free right-hand side
-        for a in range(len(pool)):
-            for b in range(a + 1, len(pool)):
-                if _match(field, pool[a], [pool[b]]) is not None:
-                    raise BadPartition(f"multiplicity in the color-{j} product")
+        if any(_near(field, z, pool[a + 1:]) is not None for a, z in enumerate(pool)):
+            raise BadPartition(f"multiplicity in the color-{j} product")
         src = []
         for w in part.w_sets[j - 1]:
-            idx = _match(field, w, pool)
+            idx = _near(field, w, pool)
             if idx is None:
                 raise BadPartition(f"W_{j} is not contained in its pool")
             pool.pop(idx)
@@ -534,8 +524,8 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     sources = _partition_sources(inst, part)[0]
     xis = inst.xis()
     if any(x == 0 for x in xis):
-        raise ValueError("continuation target must pair nonzero with every simple root; "
-                         "a scaled path with xi_i = 0 stays at xi_i = 0 for every scale")
+        raise BadPartition("continuation target must pair nonzero with every simple root; "
+                           "a scaled path with xi_i = 0 stays at xi_i = 0 for every scale")
     if all(len(ws) == 0 for ws in part.w_sets):
         return BetheRoots(tuple(() for _ in range(inst.rank)))
 

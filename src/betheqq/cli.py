@@ -73,12 +73,30 @@ def _extract_roots(inst, sol):
         return None
 
 
-def _verify_one(inst, sol, report) -> None:
-    field = inst.field
+def _load_pair(args):
+    """The instance file and the solution file, read in the instance's field."""
+    inst = _load_instance(args)
+    return inst, fileio.solution_from_doc(inst.field, _load_json(args.solution))
+
+
+def _out_or_artifact(report, path, name: str, doc) -> None:
+    """Write ``doc`` to ``path`` when one is given, else keep it in the report."""
+    if path:
+        _write_json(path, doc)
+    else:
+        report.artifact(name, doc)
+
+
+def _check_equations(inst, sol, report, prefix: str = "") -> None:
     for i in range(1, inst.rank + 1):
         res = qq_residual(inst, sol, i)
-        report.check(f"qq_residual_{i}", equation_holds(inst, sol, i, res),
-                     residual_repr(field, res.norm()))
+        report.check(f"{prefix}qq_residual_{i}", equation_holds(inst, sol, i, res),
+                     residual_repr(inst.field, res.norm()))
+
+
+def _verify_one(inst, sol, report) -> None:
+    field = inst.field
+    _check_equations(inst, sol, report)
     nd = check_nondegenerate(inst, sol.q_plus)
     report.check("nondegenerate", nd.ok)
     for i in range(1, inst.rank + 1):
@@ -101,27 +119,22 @@ def _verify_one(inst, sol, report) -> None:
     report.check("bethe_residuals", bet.ok, residual_repr(field, bet.max_residual))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.solution is None:
         raise ParseError("verify needs a solution file (or --batch over *.instance.json)")
-    inst = _load_instance(args)
-    sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
-    t0 = time.monotonic()
+    inst, sol = _load_pair(args)
     report = fileio.Report("verify", inst, seed=args.seed)
     _verify_one(inst, sol, report)
-    doc = report.finish(time.monotonic() - t0)
-    _write_json(args.out, doc)
-    return EXIT_OK if report.all_pass else EXIT_CHECK
+    return report, args.out
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     inst = _load_instance(args)
     field = inst.field
     seed_doc = _load_json(args.start)
     if args.steps <= 0:
         raise ParseError(f"--steps must be positive, got {args.steps}")
     opts = SolveOptions(seed=args.seed, continuation=args.steps)
-    t0 = time.monotonic()
     report = fileio.Report("solve", inst, seed=args.seed)
     log: list = []
     if "partition" in seed_doc:
@@ -139,18 +152,14 @@ def cmd_solve(args) -> int:
     report.artifact("roots", fileio.roots_to_doc(field, roots)["roots"])
     sol_doc = fileio.solution_to_doc(field, sol)
     report.artifact("solution", sol_doc)
-    doc = report.finish(time.monotonic() - t0)
     if args.out:
         _write_json(args.out, sol_doc)
-    _write_json(None, doc)
-    return EXIT_OK if report.all_pass else EXIT_CHECK
+    return report, None
 
 
-def cmd_chain(args) -> int:
-    inst = _load_instance(args)
-    sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
+def cmd_chain(args):
+    inst, sol = _load_pair(args)
     word = fileio.word_from_arg(args.word, inst.ctype)
-    t0 = time.monotonic()
     report = fileio.Report("chain", inst, seed=args.seed)
     try:
         trace = chain(inst, sol, word, retry_seed=args.seed)
@@ -161,18 +170,12 @@ def cmd_chain(args) -> int:
         for n, step in enumerate(trace.steps, start=1):
             report.check(f"step_{n}_s{step.index}_composable", step.composable)
             report.check(f"step_{n}_s{step.index}_generic", step.generic)
-    doc = fileio.trace_to_doc(trace)
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        report.artifact("trace", doc)
-    _write_json(None, report.finish(time.monotonic() - t0))
-    return EXIT_OK if report.all_pass else EXIT_CHECK
+    _out_or_artifact(report, args.out, "trace", fileio.trace_to_doc(trace))
+    return report, None
 
 
-def cmd_admissible(args) -> int:
+def cmd_admissible(args):
     doc = _load_json(args.instance)
-    t0 = time.monotonic()
     if "d" in doc and "N" in doc:  # bare combinatorial datum
         ctype, datum = fileio.datum_from_doc(doc)
         report = fileio.Report("admissible")
@@ -186,50 +189,40 @@ def cmd_admissible(args) -> int:
     adm = check_admissible(datum, fileio.word_from_arg(args.word, ctype), ctype.cartan)
     for pc in adm.prefixes:
         report.check(f"prefix_{pc.prefix}", pc.holds, residual=str(list(pc.degrees)))
-    _write_json(None, report.finish(time.monotonic() - t0))
-    return EXIT_OK if adm.ok else EXIT_CHECK
+    return report, None
 
 
-def cmd_fold(args) -> int:
-    inst = _load_instance(args)
-    sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
-    t0 = time.monotonic()
+def cmd_fold(args):
+    inst, sol = _load_pair(args)
     report = fileio.Report("fold", inst, seed=args.seed)
     new_inst, new_sol = fold(inst, sol)
-    field = new_inst.field
-    for i in range(1, new_inst.rank + 1):
-        res = qq_residual(new_inst, new_sol, i)
-        report.check(f"folded_qq_residual_{i}", equation_holds(new_inst, new_sol, i, res),
-                     residual_repr(field, res.norm()))
-    idoc = fileio.instance_to_doc(new_inst)
-    sdoc = fileio.solution_to_doc(field, new_sol)
-    if args.out:
-        base, ext = os.path.splitext(args.out)
-        _write_json(base + ".instance" + (ext or ".json"), idoc)
-        _write_json(base + ".solution" + (ext or ".json"), sdoc)
-    else:
-        report.artifact("instance", idoc)
-        report.artifact("solution", sdoc)
-    _write_json(None, report.finish(time.monotonic() - t0))
-    return EXIT_OK if report.all_pass else EXIT_CHECK
+    _check_equations(new_inst, new_sol, report, prefix="folded_")
+    base, ext = os.path.splitext(args.out or "")
+    for name, doc in (("instance", fileio.instance_to_doc(new_inst)),
+                      ("solution", fileio.solution_to_doc(new_inst.field, new_sol))):
+        _out_or_artifact(report, args.out and f"{base}.{name}{ext or '.json'}", name, doc)
+    return report, None
 
 
-def cmd_diagonalize(args) -> int:
-    inst = _load_instance(args)
-    sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
+def cmd_diagonalize(args):
+    inst, sol = _load_pair(args)
     word = fileio.word_from_arg(args.word, inst.ctype, longest=True)
-    t0 = time.monotonic()
     report = fileio.Report("diagonalize", inst, seed=args.seed)
     diag = diagonalize_type_a(inst, sol, word)
     field = inst.field
     report.check("conjugation_identity", field.is_zero(diag.residual, scale=1),
                  residual_repr(field, diag.residual))
-    mdoc = fileio.matrix_to_doc(field, diag.v)
-    if args.out:
-        _write_json(args.out, mdoc)
-    else:
-        report.artifact("matrix", mdoc)
-    _write_json(None, report.finish(time.monotonic() - t0))
+    _out_or_artifact(report, args.out, "matrix", fileio.matrix_to_doc(field, diag.v))
+    return report, None
+
+
+def _command(args) -> int:
+    """Run the subcommand ``args.fn``, which returns its report and where
+    the report goes (a path, or None for stdout); write the report, timed
+    over the whole subcommand, and exit 0 when every check passed, else 1."""
+    t0 = time.monotonic()
+    report, dest = args.fn(args)
+    _write_json(dest, report.finish(time.monotonic() - t0))
     return EXIT_OK if report.all_pass else EXIT_CHECK
 
 
@@ -259,7 +252,7 @@ def _run_captured(args) -> tuple:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _run(args.fn, args, where=f"{args.instance}: ")
+        code = _run(_command, args, where=f"{args.instance}: ")
     return code, out.getvalue(), err.getvalue()
 
 
@@ -346,7 +339,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_diagonalize)
 
     args = parser.parse_args(argv)
-    return _run(_batch if getattr(args, "batch", False) else args.fn, args)
+    return _run(_batch if getattr(args, "batch", False) else _command, args)
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ class SingularJacobian(BetheqqError):
     """Newton Jacobian stayed singular through the retry policy."""
 
 
-class BadPartition(BetheqqError):
-    """Root-assignment data violates the infinite-system constraints."""
+class BadPartition(BetheqqError, ValueError):
+    """Root-assignment data or target twist unusable for infinite-system seeding."""
 
 
 class PathCollision(BetheqqError):

@@ -17,7 +17,7 @@ from .backlund import ChainTrace, chain
 from .bethe import BetheRoots
 from .errors import FactorizationFailed, PoleCollision, UnsupportedType
 from .polyalg import Poly, RationalFn, log_deriv, roots, solve_linear_ode
-from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
+from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product, neighbor_sum
 from .rootsys import CartanMatrix, CartanType, Twist, WeylWord, cartan_matrix, twist_from_pairings
 from .scalars import Field
 
@@ -44,18 +44,18 @@ class RatMatrix:
         return RatMatrix(tuple(tuple(row) for row in rows))
 
     @staticmethod
+    def sparse(field: Field, n: int, entries: dict) -> "RatMatrix":
+        """The n x n matrix with ``entries[(row, col)]`` there and zeros elsewhere."""
+        zero = rf_zero(field)
+        return RatMatrix.build([[entries.get((i, j), zero) for j in range(n)] for i in range(n)])
+
+    @staticmethod
     def identity(field: Field, n: int) -> "RatMatrix":
-        return RatMatrix.build(
-            [[rf_const(field, 1) if i == j else rf_zero(field) for j in range(n)] for i in range(n)]
-        )
+        return RatMatrix.diagonal([rf_const(field, 1)] * n)
 
     @staticmethod
     def diagonal(diag: Sequence[RationalFn]) -> "RatMatrix":
-        field = diag[0].field
-        n = len(diag)
-        return RatMatrix.build(
-            [[diag[i] if i == j else rf_zero(field) for j in range(n)] for i in range(n)]
-        )
+        return RatMatrix.sparse(diag[0].field, len(diag), {(i, i): d for i, d in enumerate(diag)})
 
     @property
     def n(self) -> int:
@@ -95,17 +95,17 @@ class RatMatrix:
         """Inverse of an upper-triangular matrix by back substitution."""
         n = self.n
         field = self.field
-        inv = [[rf_zero(field) for _ in range(n)] for _ in range(n)]
+        inv = {}
         for j in range(n):
             for i in range(j, -1, -1):
                 if i == j:
-                    inv[i][j] = rf_const(field, 1) / self.entries[i][i]
+                    inv[(i, j)] = rf_const(field, 1) / self.entries[i][i]
                 else:
                     acc = rf_zero(field)
                     for k in range(i + 1, j + 1):
-                        acc = acc + self.entries[i][k] * inv[k][j]
-                    inv[i][j] = -acc / self.entries[i][i]
-        return RatMatrix.build(inv)
+                        acc = acc + self.entries[i][k] * inv[(k, j)]
+                    inv[(i, j)] = -acc / self.entries[i][i]
+        return RatMatrix.sparse(field, n, inv)
 
     def defect(self, other: "RatMatrix"):
         """Max relative coefficient defect over entries (0 iff equal)."""
@@ -196,10 +196,7 @@ def gl2_oper(conn: MiuraConnection, cmat: CartanMatrix, i: int) -> Gl2Oper:
     zeta_i = conn.twist.zeta[i - 1]
     dlog = log_deriv(conn.y[i - 1])
     upper_diag = rf_const(field, zeta_i) - dlog
-    low = -rf_const(field, zeta_i) + dlog
-    for k in range(1, r + 1):
-        if k != i and cmat.a(k, i):
-            low = low - rf_const(field, cmat.a(k, i) * conn.twist.zeta[k - 1])
+    low = rf_const(field, neighbor_sum(cmat, conn.twist.zeta, i, -zeta_i)) + dlog
     tilde = RatMatrix.build(
         [[upper_diag, RationalFn.from_poly(rho)], [rf_zero(field), low]]
     )
@@ -209,12 +206,8 @@ def gl2_oper(conn: MiuraConnection, cmat: CartanMatrix, i: int) -> Gl2Oper:
 def mp_twist_block(inst: QQInstance, i: int) -> RatMatrix:
     """Z restricted to the i-th rank-2 subspace: diag(zeta_i, -zeta_i - sum a_{ji} zeta_j)."""
     field = inst.field
-    cmat = inst.cartan
     z1 = inst.twist.zeta[i - 1]
-    z2 = -z1
-    for j in range(1, inst.rank + 1):
-        if j != i and cmat.a(j, i):
-            z2 = z2 - field(cmat.a(j, i)) * inst.twist.zeta[j - 1]
+    z2 = neighbor_sum(inst.cartan, inst.twist.zeta, i, -z1)
     return RatMatrix.diagonal([rf_const(field, z1), rf_const(field, z2)])
 
 
@@ -302,17 +295,17 @@ def connection_matrix(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     field = inst.field
     conn = build_connection(inst, sol.q_plus)
     n = inst.rank + 1
-    rows = [[rf_zero(field) for _ in range(n)] for _ in range(n)]
+    entries = {}
     for a in range(n):
         diag = rf_zero(field)
         if a < inst.rank:
             diag = diag + conn.g[a]
         if a > 0:
             diag = diag - conn.g[a - 1]
-        rows[a][a] = diag
+        entries[(a, a)] = diag
         if a < inst.rank:
-            rows[a][a + 1] = RationalFn.from_poly(conn.lambdas[a])
-    return RatMatrix.build(rows)
+            entries[(a, a + 1)] = RationalFn.from_poly(conn.lambdas[a])
+    return RatMatrix.sparse(field, n, entries)
 
 
 def twist_matrix(field: Field, twist: Twist) -> RatMatrix:
@@ -369,10 +362,13 @@ def bruhat_factor_w0(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
 
 
 def w0_permutation(field: Field, n: int) -> RatMatrix:
-    return RatMatrix.build(
-        [[rf_const(field, 1) if j == n - 1 - i else rf_zero(field) for j in range(n)]
-         for i in range(n)]
-    )
+    return RatMatrix.sparse(field, n, {(i, n - 1 - i): rf_const(field, 1) for i in range(n)})
+
+
+def _elementary(field: Field, n: int, at: tuple, f: RationalFn) -> RatMatrix:
+    """1 + f E_at, for an off-diagonal position ``at``."""
+    one = rf_const(field, 1)
+    return RatMatrix.sparse(field, n, {**{(a, a): one for a in range(n)}, at: f})
 
 
 @dataclass(frozen=True)
@@ -414,10 +410,7 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
         adj = neighbor_product(inst.cartan, c, i, field.one)
         pair = inst.lead[i - 1] / prev_inst.lead[i - 1] * adj
         mu_raw = RationalFn.make(step.mu.num.scale(adj), step.mu.den.scale(pair))
-        elem = [[rf_const(field, 1) if a == b else rf_zero(field) for b in range(n)]
-                for a in range(n)]
-        elem[i][i - 1] = -mu_raw  # e^{-mu f_i} = 1 - mu E_{i+1,i}
-        e_mat = e_mat @ RatMatrix.build(elem)
+        e_mat = e_mat @ _elementary(field, n, (i, i - 1), -mu_raw)  # e^{-mu f_i} = 1 - mu E_{i+1,i}
         lam = -step.solution.q_minus[i - 1].lc() / prev_sol.q_plus[i - 1].lc()
         c[i - 1] = pair / c[i - 1] * lam
         prev_inst, prev_sol = step.instance, step.solution
@@ -474,10 +467,7 @@ def reduce_twist_type_a(field: Field, z_matrix: Sequence[Sequence]) -> tuple[Rat
                     new[a][j] = new[a][j] - a_mat[a][i] * f
             new[i][j] = new[i][j] - f.deriv()
             a_mat = new
-            elem = [[rf_const(field, 1) if a == b else rf_zero(field) for b in range(n)]
-                    for a in range(n)]
-            elem[i][j] = RationalFn.from_poly(f)
-            u_total = RatMatrix.build(elem) @ u_total
+            u_total = _elementary(field, n, (i, j), RationalFn.from_poly(f)) @ u_total
     xi = [hvals[a] - hvals[a + 1] for a in range(n - 1)]
     cmat = cartan_matrix(CartanType("A", n - 1))
     twist = twist_from_pairings(field, cmat, xi)

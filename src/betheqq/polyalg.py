@@ -425,6 +425,12 @@ def roots(p: Poly) -> list:
     return polished
 
 
+def _near(field: Field, value, pool) -> int | None:
+    """Index of the first entry of ``pool`` within ``tau_root`` of ``value``,
+    or None: the one rule for coinciding roots (equality on the exact backend)."""
+    return next((k for k, p in enumerate(pool) if abs(value - p) <= field.tau_root), None)
+
+
 def distinct_roots_check(p: Poly) -> bool:
     """True when ``p`` has no multiple roots."""
     if p.is_zero:
@@ -435,12 +441,7 @@ def distinct_roots_check(p: Poly) -> bool:
         g = gcd(p, p.deriv())
         return g.degree() == 0
     rs = roots(p)
-    tau_root = p.field.tau_root
-    for i in range(len(rs)):
-        for j in range(i + 1, len(rs)):
-            if abs(rs[i] - rs[j]) <= tau_root:
-                return False
-    return True
+    return all(_near(p.field, r, rs[k + 1:]) is None for k, r in enumerate(rs))
 
 
 def coprime_check(p: Poly, q: Poly) -> bool:
@@ -451,13 +452,8 @@ def coprime_check(p: Poly, q: Poly) -> bool:
         return True
     if isinstance(p.field, ExactField):
         return gcd(p, q).degree() == 0
-    tau_root = p.field.tau_root
     rq = roots(q)
-    for r in roots(p):
-        for s in rq:
-            if abs(r - s) <= tau_root:
-                return False
-    return True
+    return all(_near(p.field, r, rq) is None for r in roots(p))
 
 
 # -- rational functions ----------------------------------------------------

@@ -155,6 +155,16 @@ def neighbor_product(cmat: CartanMatrix, factors: Sequence, i: int, base):
     return out
 
 
+def neighbor_sum(cmat: CartanMatrix, values: Sequence, i: int, base):
+    """base - sum_{j != i} a_{ji} values_j: the additive ``neighbor_product``."""
+    out = base
+    for j, v in enumerate(values, start=1):
+        a = cmat.a(j, i)
+        if j != i and a:
+            out = out - a * v
+    return out
+
+
 def qq_rhs(inst: QQInstance, q_plus: Sequence[Poly], i: int,
            lambdas: Sequence[Poly] | None = None) -> Poly:
     """Lambda_i * prod_{j != i} (q+_j)^(-a_{ji})."""
@@ -223,14 +233,8 @@ def expected_minus_degree(inst: QQInstance, dplus: Sequence[int], i: int,
     """Generic degree of q-_i: deg Lambda_i - d_i - sum_{j!=i} a_{ji} d_j,
     plus one when xi_i = 0."""
     lam = (lambdas or build_lambdas(inst))[i - 1]
-    cmat = inst.cartan
-    deg = lam.degree() - dplus[i - 1]
-    for j in range(1, inst.rank + 1):
-        if j != i:
-            deg -= cmat.a(j, i) * dplus[j - 1]
-    if inst.xi(i) == 0:
-        deg += 1
-    return deg
+    deg = neighbor_sum(inst.cartan, dplus, i, lam.degree() - dplus[i - 1])
+    return deg + 1 if inst.xi(i) == 0 else deg
 
 
 def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None) -> Poly:

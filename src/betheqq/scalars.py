@@ -96,7 +96,7 @@ class ExactField(_Magnitudes):
             return Fraction(value)
         if isinstance(value, str):
             return _parse_rational(value)
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)) and len(value) == 2:  # [re, im]
             re, im = value
             if self(im) != 0:
                 raise ParseError("exact backend has no complex scalars; use the numeric backend")
@@ -171,13 +171,13 @@ class NumericField(_Magnitudes):
                 return ctx.mpf(value.strip())
             except ValueError:
                 raise ParseError(f"bad numeric literal {value!r}") from None
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)) and len(value) == 2:  # [re, im]
             re, im = value
             return self(re) + self(im) * ctx.mpc(0, 1)
         # mpf/mpc from a foreign context
         if hasattr(value, "real") and hasattr(value, "imag"):
             return ctx.mpc(value.real, value.imag)
-        raise ParseError(f"cannot coerce {type(value).__name__} to a numeric scalar")
+        raise ParseError(f"cannot coerce {type(value).__name__} to a numeric scalar; a complex literal is [re, im]")
 
     def is_zero(self, x, scale=None) -> bool:
         bound = self.tau if scale is None else self.tau * max(self.ctx.mpf(1), abs(scale))

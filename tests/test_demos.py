@@ -23,3 +23,4 @@ def test_demo_runs(path, tmp_path):
     run = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    assert not list(tmp_path.glob("betheqq-demo-*")), "the demo left its work directory behind"

@@ -1,6 +1,7 @@
 """File formats, round-trips, reports, and the command-line driver."""
 
 import json
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -305,6 +306,35 @@ class TestCliInputErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("input error: ")
 
+    def test_zero_pairing_target_exits_2(self, tmp_path, capsys):
+        # xi_2 = 0: no scaled continuation path reaches the target twist
+        N = bq.NumericField(256)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N, [(0, (1, 0))], [2, 1])
+        assert inst.xi(2) == 0
+        ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
+        ppath = _write(tmp_path, "p.json", {"partition": [["0"], []]})
+        assert main(["solve", ipath, ppath]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ") and "pair nonzero" in line
+
+    @pytest.mark.parametrize("kind", ["solution", "roots", "partition"])
+    def test_complex_literal_needs_two_entries(self, kind, tmp_path, capsys):
+        N = bq.NumericField(256)
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
+        ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
+        bad = ["2", "0", "0"]
+        docs = {"solution": {"q_plus": [[bad, "1"]], "q_minus": [["1"]]},
+                "roots": {"roots": [[bad]]}, "partition": {"partition": [[bad]]}}
+        path = _write(tmp_path, kind + ".json", docs[kind])
+        argv = ["verify", ipath, path] if kind == "solution" else ["solve", ipath, path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ")
+
 
 class TestDeterminism:
     def test_reports_stable_modulo_walltime(self, a1_files, capsys):
@@ -315,3 +345,48 @@ class TestDeterminism:
         r2 = json.loads(capsys.readouterr().out)
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert fileio.canonical_json(r1) == fileio.canonical_json(r2)
+
+    @pytest.mark.parametrize("cmd", ["verify", "solve", "chain", "admissible", "fold", "diagonalize"])
+    def test_every_subcommand_stable_modulo_walltime(self, cmd, tmp_path, capsys):
+        a2_inst, _, a2_sol = a2_rational()
+        b2_inst, _, b2_sol = b2_rational()
+        N = bq.NumericField(256)
+        a1 = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
+        a2 = _write(tmp_path, "a2.json", fileio.instance_to_doc(a2_inst))
+        a2sol = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(F, a2_sol))
+        argv = {
+            "verify": [a2, a2sol],
+            "solve": [_write(tmp_path, "a1.json", fileio.instance_to_doc(a1)),
+                      _write(tmp_path, "p.json", {"partition": [["2"]]}), "--steps", "24"],
+            "chain": [a2, a2sol, "--word", "1,2,1"],
+            "admissible": [a2, "--word", "1,2,1", "--degrees", "1,1"],
+            "fold": [_write(tmp_path, "b2.json", fileio.instance_to_doc(b2_inst)),
+                     _write(tmp_path, "b2sol.json", fileio.solution_to_doc(F, b2_sol))],
+            "diagonalize": [a2, a2sol, "--word", "1,2,1"],
+        }[cmd]
+        runs = []
+        for _ in range(2):
+            code = main([cmd, *argv, "--seed", "5"])
+            captured = capsys.readouterr()
+            out, n = re.subn(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": T', captured.out)
+            assert n == 1
+            runs.append((code, out, captured.err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+    def test_verify_out_holds_the_report(self, a1_files, capsys):
+        ipath, spath, *_, tmp_path = a1_files
+        out = tmp_path / "report.json"
+        assert main(["verify", ipath, spath, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        report = json.loads(out.read_text())
+        assert report["command"] == "verify" and report["pass"] is True and "wall_time_s" in report
+
+    def test_chain_out_holds_the_trace(self, a1_files, capsys):
+        ipath, spath, *_, tmp_path = a1_files
+        out = tmp_path / "trace.json"
+        assert main(["chain", ipath, spath, "--word", "1", "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "chain" and "trace" not in report["artifacts"]
+        trace = json.loads(out.read_text())
+        assert trace["fully_composable"] and len(trace["steps"]) == 1
