@@ -139,17 +139,17 @@ def apply_simple(inst: QQInstance, sol: QQSolution, i: int
                  ) -> tuple[QQInstance, QQSolution]:
     """One Backlund step at color i.
 
-    Requires the i-th residual to vanish and q-_i != 0.  Returns the
-    reflected-twist instance (with the lead ledger updated) and the new
-    solution; colors j != i are re-completed under the new twist, so an
-    :class:`InconsistentSystem` from there means the input was not
-    i-composable.
+    Requires q-_i != 0, and the i-th residual to vanish (else
+    :class:`InconsistentSystem`).  Returns the reflected-twist instance
+    (with the lead ledger updated) and the new solution; colors j != i are
+    re-completed under the new twist, so the same error from there means
+    the input was not i-composable.
     """
     qm = chop(sol.q_minus[i - 1])
     if qm.is_zero:
         raise ValueError(f"q-_{i} vanishes; the step at color {i} is undefined")
     if not equation_holds(inst, sol, i):
-        raise ValueError(f"equation {i} does not hold; Backlund step undefined")
+        raise InconsistentSystem(i, f"equation {i} does not hold; Backlund step undefined")
 
     lam = qm.lc()
     cmat = inst.cartan

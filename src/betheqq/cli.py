@@ -53,8 +53,9 @@ def _write_json(path: str | None, doc: dict) -> None:
         print(text)
 
 
-def _load_instance(args):
-    doc = _load_json(args.instance)
+def _load_instance(args, doc: dict | None = None):
+    """The instance file ``args.instance``, or its already parsed ``doc``."""
+    doc = _load_json(args.instance) if doc is None else doc
     if args.tol is not None:  # the field's tau for the run, as "tolerances" sets it
         doc["tolerances"] = {**(doc.get("tolerances") or {}), "tau": args.tol}
     return fileio.instance_from_doc(doc, backend_override=args.backend,
@@ -180,7 +181,7 @@ def cmd_admissible(args):
         ctype, datum = fileio.datum_from_doc(doc)
         report = fileio.Report("admissible")
     else:
-        inst = _load_instance(args)
+        inst = _load_instance(args, doc)
         if args.degrees is None:
             raise ParseError("an instance file needs --degrees d1,d2,... for admissibility")
         ctype = inst.ctype

@@ -19,7 +19,7 @@ class ZeroDenominator(BetheqqError):
     """A rational function was built with a zero denominator."""
 
 
-class InconsistentSystem(BetheqqError):
+class InconsistentSystem(BetheqqError, ValueError):
     """No polynomial q^-_i completes the given q^+ family for color i.
 
     Equivalent to failure of the Bethe equations at the roots of color i.

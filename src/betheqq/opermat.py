@@ -133,9 +133,10 @@ def _rf_defect(a: RationalFn, b: RationalFn):
 
 
 def gauge_transform(a_mat: RatMatrix, v: RatMatrix, v_inv: RatMatrix | None = None) -> RatMatrix:
-    """Connection matrix of v(d + A)v^-1: v A v^-1 - v' v^-1."""
+    """Connection matrix of v(d + A)v^-1: v A v^-1 - v' v^-1, formed as
+    ((v A) - v') v^-1 so the subtraction meets the low-degree v A and v'."""
     vi = v_inv if v_inv is not None else v.inverse_triangular()
-    return (v @ a_mat @ vi) - (v.deriv() @ vi)
+    return ((v @ a_mat) - v.deriv()) @ vi
 
 
 # -- the Cartan-coefficient connection --------------------------------------
@@ -329,13 +330,8 @@ def _rf_is_zero(r: RationalFn) -> bool:
     return field.is_zero(r.num.norm(), scale=max(r.den.norm(), field.abs(field.one)))
 
 
-def bruhat_factor_w0(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
-    """Factor m = b+ . w0 . n+ against the antidiagonal permutation.
-
-    Gaussian elimination by column operations; a vanishing antidiagonal pivot
-    means m lies outside the open cell and raises FactorizationFailed.
-    Returns (b+, n+).
-    """
+def _bruhat_eliminate(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
+    """(b+, n+^-1) of :func:`bruhat_factor_w0`, without inverting n+^-1."""
     n = m.n
     field = m.field
     work = [list(row) for row in m.entries]
@@ -357,8 +353,18 @@ def bruhat_factor_w0(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
             raise FactorizationFailed("matrix is not in the open Bruhat cell")
     # b+ = work . P with P the antidiagonal permutation (an involution)
     b_plus = RatMatrix.build([[work[i][n - 1 - j] for j in range(n)] for i in range(n)])
-    n_plus = RatMatrix.build(ninv).inverse_triangular()
-    return b_plus, n_plus
+    return b_plus, RatMatrix.build(ninv)
+
+
+def bruhat_factor_w0(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
+    """Factor m = b+ . w0 . n+ against the antidiagonal permutation.
+
+    Gaussian elimination by column operations; a vanishing antidiagonal pivot
+    means m lies outside the open cell and raises FactorizationFailed.
+    Returns (b+, n+).
+    """
+    b_plus, n_inv = _bruhat_eliminate(m)
+    return b_plus, n_inv.inverse_triangular()
 
 
 def w0_permutation(field: Field, n: int) -> RatMatrix:
@@ -423,7 +429,7 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
         diag.append(RationalFn.make(num, den))
     b_minus = e_mat @ RatMatrix.diagonal(diag)
 
-    b_plus, _ = bruhat_factor_w0(b_minus)
+    b_plus, _ = _bruhat_eliminate(b_minus)  # n+ is not needed
     a_mat = connection_matrix(inst, sol)
     gauged = gauge_transform(twist_matrix(field, inst.twist), b_plus)
     residual = a_mat.defect(gauged)

@@ -278,6 +278,44 @@ class TestCliChainFoldDiag:
         mdoc = json.loads(mout.read_text())
         assert len(mdoc["entries"]) == 3
 
+    @pytest.mark.parametrize("cmd", ["chain", "diagonalize"])
+    def test_nonsolution_at_run_precision_is_a_failed_check(self, cmd, tmp_path, capsys):
+        # a 256-bit solution read at 512 bits fails equation 1 there: the first
+        # Backlund step is undefined, which is a failed check, not a crash
+        N = bq.NumericField(256)
+        inst, _, sol = a2_rational(N)
+        ipath = _write(tmp_path, "a2.json", fileio.instance_to_doc(inst))
+        spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
+        argv = [cmd, ipath, spath, "--word", "1,2,1", "--precision", "512"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if cmd == "chain":
+            report = json.loads(out)
+            failed = [c for c in report["checks"] if c["pass"] is False]
+            assert [c["name"] for c in failed] == ["chain_step_1"]
+            assert "equation 1 does not hold" in failed[0]["residual"]
+            assert report["artifacts"]["trace"]["steps"] == []
+        else:
+            assert out == ""
+            assert err.splitlines() == [
+                "check failed: chain broke at step 1: equation 1 does not hold; "
+                "Backlund step undefined"]
+
+    def test_admissible_reads_the_instance_once(self, a1_files, capsys, monkeypatch):
+        import betheqq.cli
+
+        argv = ["admissible", a1_files[0], "--word", "1", "--degrees", "1"]
+        assert main(argv) == 0
+        before = json.loads(capsys.readouterr().out)
+        reads, real = [], betheqq.cli._load_json
+        monkeypatch.setattr(betheqq.cli, "_load_json", lambda path: reads.append(path) or real(path))
+        assert main(argv) == 0
+        after = json.loads(capsys.readouterr().out)
+        assert reads == [a1_files[0]]
+        for doc in (before, after):
+            doc.pop("wall_time_s")
+        assert after == before
+
 
 class TestCliInputErrors:
     @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from betheqq.opermat import (
     w0_permutation,
 )
 from betheqq.polyalg import Poly, RationalFn
-from fixhelp import a1_standard, a2_rational, b2_rational, random_valid_roots
+from fixhelp import a1_standard, a2_rational, b2_rational, g2_rational, random_valid_roots
 
 F = bq.ExactField()
 
@@ -127,6 +127,41 @@ class TestMpTwist:
         assert v.entries[1][0].is_zero
 
 
+def _assert_two_product_gauge(a_mat, v):
+    """gauge_transform(A, v) equals v A v^-1 - v' v^-1, written out, entry for entry."""
+    vi = v.inverse_triangular()
+    expected = (v @ a_mat @ vi) - (v.deriv() @ vi)
+    got = gauge_transform(a_mat, v)
+    for r in range(v.n):
+        for c in range(v.n):
+            assert got.entries[r][c] == expected.entries[r][c]
+
+
+class TestGaugeTransform:
+    def test_diagonal_twist_of_diagonalize(self):
+        for inst, _, sol in (a1_standard(), a2_rational(), a2_rational(zeta=(Q(-2, 5), Q(7, 3)))):
+            out = bq.diagonalize_type_a(inst, sol, bq.w0_reduced_word(inst.ctype))
+            _assert_two_product_gauge(bq.twist_matrix(F, inst.twist), out.v)
+
+    def test_gl2_blocks_of_verify_mp_twist(self):
+        for inst, _, sol in (a1_standard(), a2_rational(), b2_rational(), g2_rational()):
+            conn = bq.build_connection(inst, sol.q_plus)
+            for i in range(1, inst.rank + 1):
+                v = framing_block(inst, sol, i)
+                assert not v.entries[0][1].is_zero  # a non-diagonal gauge
+                _assert_two_product_gauge(mp_twist_block(inst, i), v)
+                raw = bq.gl2_oper(conn, inst.cartan, i).raw
+                assert not raw.entries[0][1].is_zero  # a non-diagonal connection
+                _assert_two_product_gauge(raw, v)
+
+    def test_numeric_mp_twist_below_tau(self):
+        N = bq.NumericField(256)
+        for build in (a1_standard, a2_rational, b2_rational, g2_rational):
+            inst, _, sol = build(N)
+            for i in range(1, inst.rank + 1):
+                assert bq.verify_mp_twist(inst, sol, i) <= N.tau
+
+
 class TestRegularity:
     def test_standard_zero(self):
         inst, roots, sol = a1_standard()
@@ -176,6 +211,29 @@ class TestBruhat:
     def test_identity_not_in_cell(self):
         with pytest.raises(bq.FactorizationFailed):
             bruhat_factor_w0(RatMatrix.identity(F, 2))
+
+    def test_diagonalize_inverts_once(self, monkeypatch):
+        # only gauge_transform's v^-1: the discarded n+ is never inverted
+        calls, real = [], RatMatrix.inverse_triangular
+        monkeypatch.setattr(RatMatrix, "inverse_triangular", lambda m: calls.append(m) or real(m))
+        inst, _, sol = a2_rational()
+        bq.diagonalize_type_a(inst, sol, bq.WeylWord.make([1, 2, 1], 2))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field", [F, bq.NumericField(256)], ids=["exact", "numeric"])
+    def test_diagonalize_b_plus_is_the_public_factor(self, field, monkeypatch):
+        import betheqq.opermat
+
+        seen, real = [], betheqq.opermat._bruhat_eliminate
+        monkeypatch.setattr(betheqq.opermat, "_bruhat_eliminate", lambda m: seen.append(m) or real(m))
+        inst, _, sol = a2_rational(field)
+        out = bq.diagonalize_type_a(inst, sol, bq.WeylWord.make([1, 2, 1], 2))
+        b_plus = bruhat_factor_w0(seen[0])[0]
+
+        def coeffs(m):  # exact values: equal mpc values are equal bits
+            return [[(e.num.coeffs, e.den.coeffs) for e in row] for row in m.entries]
+
+        assert coeffs(out.v) == coeffs(b_plus)
 
 
 class TestReduceTwist:
