@@ -215,17 +215,17 @@ def _swapped_family_ok(inst: QQInstance, sol: QQSolution, i: int) -> bool:
     return check_nondegenerate(inst, family).ok
 
 
-def chain(inst: QQInstance, sol: QQSolution, word: WeylWord,
-          retry_attempts: int = 8, retry_seed: int = 0) -> ChainTrace:
+def chain(inst: QQInstance, sol: QQSolution, word: WeylWord, retry_seed: int = 0) -> ChainTrace:
     """Iterate simple Backlund steps right-to-left through a reduced word.
 
     Records per-step flags: ``composable`` (the completions under the
     reflected twist succeeded) and ``generic`` (the transformed q+ family is
     nondegenerate).  When the pairing at the step's color vanishes, the free
-    completion constant is resampled (seeded, up to ``retry_attempts``) if
-    the swapped family fails a genericity condition, since some shift
-    q-_i + c q+_i restores it.  A failed completion raises
-    :class:`ChainBroken` carrying the partial trace.
+    completion constant is resampled (seeded, up to 8 times) if the swapped
+    family fails a genericity condition, since some shift q-_i + c q+_i
+    restores it.  A failed step (a failed completion, or a q+ or q- that
+    vanishes numerically) raises :class:`ChainBroken` carrying the partial
+    trace.
     """
     cmat = inst.cartan
     if not is_reduced(word, cmat):
@@ -236,22 +236,21 @@ def chain(inst: QQInstance, sol: QQSolution, word: WeylWord,
     cur_inst, cur_sol = inst, sol
     for step_no, pos in enumerate(range(len(word) - 1, -1, -1), start=1):
         letter = word.letters[pos]
-        if cur_inst.xi(letter) == 0 and not _swapped_family_ok(cur_inst, cur_sol, letter):
-            for _ in range(retry_attempts):
-                c = field(rng.randint(1, 10 ** 6))
-                shifted = list(cur_sol.q_minus)
-                shifted[letter - 1] = cur_sol.q_minus[letter - 1] + cur_sol.q_plus[letter - 1].scale(c)
-                cand = QQSolution.make(cur_sol.q_plus, shifted)
-                if _swapped_family_ok(cur_inst, cand, letter):
-                    cur_sol = cand
-                    break
-        step_mu = mu(cur_inst, cur_sol, letter)
         try:
+            if cur_inst.xi(letter) == 0 and not _swapped_family_ok(cur_inst, cur_sol, letter):
+                for _ in range(8):
+                    c = field(rng.randint(1, 10 ** 6))
+                    shifted = list(cur_sol.q_minus)
+                    shifted[letter - 1] = cur_sol.q_minus[letter - 1] + cur_sol.q_plus[letter - 1].scale(c)
+                    cand = QQSolution.make(cur_sol.q_plus, shifted)
+                    if _swapped_family_ok(cur_inst, cand, letter):
+                        cur_sol = cand
+                        break
+            step_mu = mu(cur_inst, cur_sol, letter)
             new_inst, new_sol = apply_simple(cur_inst, cur_sol, letter)
-        except InconsistentSystem as exc:
-            raise ChainBroken(step_no, exc,
-                              ChainTrace(word, inst, sol, tuple(steps))) from exc
-        generic = check_nondegenerate(new_inst, new_sol.q_plus).ok
+            generic = check_nondegenerate(new_inst, new_sol.q_plus).ok
+        except ValueError as exc:  # InconsistentSystem, or a polynomial that vanished numerically
+            raise ChainBroken(step_no, exc, ChainTrace(word, inst, sol, tuple(steps))) from exc
         steps.append(ChainStep(letter, new_inst, new_sol, step_mu, True, generic))
         cur_inst, cur_sol = new_inst, new_sol
     return ChainTrace(word, inst, sol, tuple(steps))

@@ -65,7 +65,6 @@ class BetheRoots:
 @dataclass(frozen=True)
 class SolveOptions:
     max_iterations: int = 50
-    damping: tuple = ("1", "1/2", "1/4", "1/8", "1/16")
     tolerance: object = None  # default: the field's tau
     continuation: int = 64
     seed: int = 0
@@ -73,9 +72,6 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iterations <= 0 or self.continuation <= 0:
             raise ValueError("iteration and continuation counts must be positive")
-
-    def damping_values(self, field: Field):
-        return [field(d) for d in self.damping]
 
 
 def _collision_guard(field: Field, denom, where: str, *at):
@@ -221,9 +217,9 @@ class BetheReport:
     ok: bool
 
 
-def verify_bethe(inst: QQInstance, roots: BetheRoots, tolerance=None) -> BetheReport:
-    """Max |residual| over all equations; pass iff at most the tolerance."""
-    tol = inst.field.tau if tolerance is None else tolerance
+def verify_bethe(inst: QQInstance, roots: BetheRoots) -> BetheReport:
+    """Max |residual| over all equations; pass iff at most the field's tau."""
+    tol = inst.field.tau
     res, worst, _ = _system(inst).sweep(roots)
     labels = [(i, ell) for i, color in enumerate(roots.roots, start=1) for ell in range(1, len(color) + 1)]
     return BetheReport(worst, dict(zip(labels, res)), tol, worst <= tol)
@@ -238,6 +234,7 @@ def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
 #: throws a root toward infinity, where the residual tends to |xi_i|
 _STEP_CAP = 2 ** 10
 _MIN_STEP = 2.0 ** -30  #: the smallest continuation step in the path parameter s
+_DAMPING = ("1", "1/2", "1/4", "1/8", "1/16")  #: the damped step lengths Newton tries, in order
 _MACH = MachineField()
 #: the widest ratio of magnitude to distance that machine floats resolve to
 #: about half their digits: wider spreads are tracked in the caller's field,
@@ -307,7 +304,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
     rng = random.Random(opts.seed)
-    damps = opts.damping_values(field)
+    damps = [field(d) for d in _DAMPING]
 
     def directions(rts, res, jac):  # jac: the field's Jacobian at rts, if formed
         """``(jacobian precision, direction)`` in the order they are tried."""
@@ -471,26 +468,7 @@ def _seed_positions(system: _System, w_sets: Sequence, sources: list) -> BetheRo
             pos[slot] = base - one / xis[j - 1]
         return pos[slot]
 
-    for j, ws in enumerate(w_sets, start=1):
-        for s in range(len(ws)):
-            place((j, s))
-    # one refinement sweep with the regular parts included
-    for j, s in list(pos):
-        src = sources[j - 1][s]
-        base = w_sets[j - 1][s] if src[0] == 0 else pos[src]
-        reg = xis[j - 1]
-        for i, (z, e) in enumerate(system.poles[j - 1]):
-            if src != (0, i):
-                reg = reg + e / (pos[(j, s)] - z)
-        for k, a in system.couplings[j - 1].items():
-            for t in range(len(w_sets[k - 1])):
-                if (k, t) == (j, s) or (k, t) == src:
-                    continue
-                denom = pos[(j, s)] - pos[(k, t)]
-                if abs(denom) > 0:
-                    reg = reg - a / denom
-        pos[(j, s)] = base - one / reg
-    return BetheRoots(tuple(tuple(pos[(j, s)] for s in range(len(ws))) for j, ws in enumerate(w_sets, start=1)))
+    return BetheRoots(tuple(tuple(place((j, s)) for s in range(len(ws))) for j, ws in enumerate(w_sets, start=1)))
 
 
 def seed_and_continue(inst: QQInstance, part: InfinitePartition,
@@ -555,8 +533,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     # the real discriminant locus where tracked roots would collide
     rng = random.Random(f"{opts.seed}-gamma")
     bump = ctx.mpf(rng.uniform(0.8, 2.4)) * (1 if rng.random() < 0.5 else -1)
-    ladder = replace(opts, damping=tuple(opts.damping_values(track)))
-    inner = replace(ladder, max_iterations=min(3, opts.max_iterations))
+    inner = replace(opts, max_iterations=min(3, opts.max_iterations))
     lo = min(abs(x) for x in tracked.at_scale(zeta, 1).xis)
 
     def scale(s):
@@ -582,7 +559,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                        {"phase": "track", "s": s, "h": h, "k": float(k)}), k
 
     try:
-        roots, k = correct(_seed_positions(at_scale(scale(0.0), 1), w_sets, sources), 1, 0.0, 0.0, ladder)
+        roots, k = correct(_seed_positions(at_scale(scale(0.0), 1), w_sets, sources), 1, 0.0, 0.0, opts)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
@@ -613,11 +590,10 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
 
 
-def roots_to_solution(inst: QQInstance, roots: BetheRoots,
-                      constants: Sequence | None = None) -> QQSolution:
+def roots_to_solution(inst: QQInstance, roots: BetheRoots) -> QQSolution:
     """Monic q+ from the root sets, then polynomial completion."""
     from .qqcore import complete_minus
 
     field = inst.field
     q_plus = [poly_from_roots(field, color) for color in roots.roots]
-    return complete_minus(inst, q_plus, constants=constants)
+    return complete_minus(inst, q_plus)

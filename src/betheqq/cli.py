@@ -67,7 +67,7 @@ def _emit_log(records) -> None:
         print(json.dumps(rec, sort_keys=True), file=sys.stderr)
 
 
-def _extract_roots(inst, sol):
+def _extract_roots(sol):
     try:
         return BetheRoots(tuple(tuple(poly_roots(p)) for p in sol.q_plus))
     except (ValueError, NotImplementedError):
@@ -104,7 +104,7 @@ def _verify_one(inst, sol, report) -> None:
         res = verify_mp_twist(inst, sol, i)
         report.check(f"mp_twist_{i}", field.is_zero(res, scale=1),
                      residual_repr(field, res))
-    rts = _extract_roots(inst, sol)
+    rts = _extract_roots(sol)
     if rts is None:
         report.check("regularity_residues", None, "skipped: roots not extractable")
         return

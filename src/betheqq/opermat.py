@@ -112,31 +112,15 @@ class RatMatrix:
         worst = None
         for ra, rb in zip(self.entries, other.entries):
             for a, b in zip(ra, rb):
-                d = _rf_defect(a, b)
+                d = a.defect(b)
                 worst = d if worst is None else max(worst, d)
         return worst
 
 
-def _rf_defect(a: RationalFn, b: RationalFn):
-    """|a - b| as a relative max-coefficient norm after clearing denominators.
-
-    The scale includes the denominator product: unreduced numeric operands
-    can carry numerators that are pure cancellation noise relative to their
-    (huge) denominators, and those must measure as zero.
-    """
-    field = a.field
-    lhs = a.num * b.den
-    rhs = b.num * a.den
-    diff = (lhs - rhs).norm()
-    scale = max(lhs.norm(), rhs.norm(), a.den.norm() * b.den.norm(), field.abs(field.one))
-    return diff / scale
-
-
-def gauge_transform(a_mat: RatMatrix, v: RatMatrix, v_inv: RatMatrix | None = None) -> RatMatrix:
+def gauge_transform(a_mat: RatMatrix, v: RatMatrix) -> RatMatrix:
     """Connection matrix of v(d + A)v^-1: v A v^-1 - v' v^-1, formed as
     ((v A) - v') v^-1 so the subtraction meets the low-degree v A and v'."""
-    vi = v_inv if v_inv is not None else v.inverse_triangular()
-    return ((v @ a_mat) - v.deriv()) @ vi
+    return ((v @ a_mat) - v.deriv()) @ v.inverse_triangular()
 
 
 # -- the Cartan-coefficient connection --------------------------------------
@@ -290,37 +274,34 @@ def _type_a_check(ctype: CartanType) -> None:
         raise UnsupportedType(f"defining-representation computations require type A, not {ctype}")
 
 
+def _coroot_diagonal(zero, c: Sequence) -> list:
+    """The diagonal of sum_a c_a alphacheck_a in the defining representation
+    of type A: entry a is c_a - c_{a-1}, with zero beyond either end, each
+    formed from ``zero``."""
+    out = []
+    for a in range(len(c) + 1):
+        v = zero
+        if a < len(c):
+            v = v + c[a]
+        if a > 0:
+            v = v - c[a - 1]
+        out.append(v)
+    return out
+
+
 def connection_matrix(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     """A(z) in the defining representation of type A (n = rank + 1)."""
     _type_a_check(inst.ctype)
     field = inst.field
     conn = build_connection(inst, sol.q_plus)
-    n = inst.rank + 1
-    entries = {}
-    for a in range(n):
-        diag = rf_zero(field)
-        if a < inst.rank:
-            diag = diag + conn.g[a]
-        if a > 0:
-            diag = diag - conn.g[a - 1]
-        entries[(a, a)] = diag
-        if a < inst.rank:
-            entries[(a, a + 1)] = RationalFn.from_poly(conn.lambdas[a])
-    return RatMatrix.sparse(field, n, entries)
+    entries = {(a, a): d for a, d in enumerate(_coroot_diagonal(rf_zero(field), conn.g))}
+    entries.update({(a, a + 1): RationalFn.from_poly(lam) for a, lam in enumerate(conn.lambdas)})
+    return RatMatrix.sparse(field, inst.rank + 1, entries)
 
 
 def twist_matrix(field: Field, twist: Twist) -> RatMatrix:
     """Z^H = diag(zeta_1, zeta_2 - zeta_1, ..., -zeta_r) in the defining rep."""
-    n = twist.rank + 1
-    diag = []
-    for a in range(n):
-        v = field.zero
-        if a < twist.rank:
-            v = v + twist.zeta[a]
-        if a > 0:
-            v = v - twist.zeta[a - 1]
-        diag.append(rf_const(field, v))
-    return RatMatrix.diagonal(diag)
+    return RatMatrix.diagonal([rf_const(field, v) for v in _coroot_diagonal(field.zero, twist.zeta)])
 
 
 def _rf_is_zero(r: RationalFn) -> bool:

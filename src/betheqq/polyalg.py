@@ -265,7 +265,7 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
     return tuple(make((from_man_exp(rm, re), fzero)) for rm, re in out)
 
 
-def chop(p: Poly, scale=None) -> Poly:
+def chop(p: Poly) -> Poly:
     """Trim sub-tolerance trailing coefficients (numeric backend only).
 
     Logs a warning whenever a nonzero coefficient is dropped, so degree
@@ -274,7 +274,7 @@ def chop(p: Poly, scale=None) -> Poly:
     field = p.field
     if isinstance(field, ExactField) or p.is_zero:
         return p
-    ref = scale if scale is not None else p.norm()
+    ref = p.norm()
     cs = list(p.coeffs)
     dropped = False
     while cs and field.is_zero(cs[-1], scale=ref):
@@ -499,7 +499,7 @@ class RationalFn:
         return RationalFn.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn.make(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> "RationalFn":
         return RationalFn(-self.num, self.den)
@@ -524,9 +524,18 @@ class RationalFn:
         return self.num(x) / dv
 
     def defect(self, other: "RationalFn"):
-        """Max coefficient magnitude of num_l*den_r - num_r*den_l (0 iff equal)."""
-        diff = self.num * other.den - other.num * self.den
-        return diff.norm()
+        """|self - other| as a relative max-coefficient norm after clearing
+        denominators (0 iff equal).
+
+        The scale includes the denominator product: unreduced numeric operands
+        can carry numerators that are pure cancellation noise relative to their
+        (huge) denominators, and those must measure as zero.
+        """
+        field = self.field
+        lhs = self.num * other.den
+        rhs = other.num * self.den
+        diff = (lhs - rhs).norm()
+        return diff / max(lhs.norm(), rhs.norm(), self.den.norm() * other.den.norm(), field.abs(field.one))
 
     def __repr__(self) -> str:
         return f"RationalFn({self.num!r} / {self.den!r})"

@@ -165,10 +165,9 @@ def neighbor_sum(cmat: CartanMatrix, values: Sequence, i: int, base):
     return out
 
 
-def qq_rhs(inst: QQInstance, q_plus: Sequence[Poly], i: int,
-           lambdas: Sequence[Poly] | None = None) -> Poly:
+def qq_rhs(inst: QQInstance, q_plus: Sequence[Poly], i: int) -> Poly:
     """Lambda_i * prod_{j != i} (q+_j)^(-a_{ji})."""
-    return neighbor_product(inst.cartan, q_plus, i, (lambdas or build_lambdas(inst))[i - 1])
+    return neighbor_product(inst.cartan, q_plus, i, build_lambdas(inst)[i - 1])
 
 
 def _qq_terms(inst: QQInstance, sol: QQSolution, i: int) -> tuple:
@@ -228,11 +227,10 @@ def check_nondegenerate(inst: QQInstance, q_plus: Sequence[Poly]) -> NondegRepor
     return NondegReport(tuple(monic), tuple(squarefree), tuple(cop_lam), pairwise, ok)
 
 
-def expected_minus_degree(inst: QQInstance, dplus: Sequence[int], i: int,
-                          lambdas: Sequence[Poly] | None = None) -> int:
+def expected_minus_degree(inst: QQInstance, dplus: Sequence[int], i: int) -> int:
     """Generic degree of q-_i: deg Lambda_i - d_i - sum_{j!=i} a_{ji} d_j,
     plus one when xi_i = 0."""
-    lam = (lambdas or build_lambdas(inst))[i - 1]
+    lam = build_lambdas(inst)[i - 1]
     deg = neighbor_sum(inst.cartan, dplus, i, lam.degree() - dplus[i - 1])
     return deg + 1 if inst.xi(i) == 0 else deg
 

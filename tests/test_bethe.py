@@ -256,6 +256,17 @@ class TestInfiniteSystem:
         with pytest.raises(bq.BadPartition):
             bq.seed_and_continue(inst, part)
 
+    def test_seeds_are_first_order(self):
+        # xi = (4, 1); root (2, 1) is sourced from root (1, 0), itself sourced
+        # from the point 0 of Z_1, so its seed chains: 0 - 1/4 - 1/1
+        from betheqq.bethe import _seed_positions, _System
+
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), F, [(0, (1, 0)), (3, (0, 1))], [3, 2])
+        assert inst.xis() == (4, 1)
+        sources = [[(0, 0)], [(0, 0), (1, 0)]]
+        seeds = _seed_positions(_System.of(inst), [[0], [3, 0]], sources)
+        assert seeds.roots == ((Q(-1, 4),), (Q(2), Q(-5, 4)))
+
 
 class TestContinuation:
     def test_a1_drift(self):

@@ -9,7 +9,7 @@ import pytest
 import betheqq as bq
 from betheqq import fileio
 from betheqq.cli import main
-from fixhelp import a1_standard, a2_rational, b2_rational
+from fixhelp import a1_standard, a2_rational, b2_rational, g2_rational
 
 F = bq.ExactField()
 
@@ -239,6 +239,28 @@ class TestCliChainFoldDiag:
         assert report["pass"] is False
         assert any(c["name"].startswith("chain_step_") and c["pass"] is False for c in report["checks"])
         assert "steps" in report["artifacts"]["trace"]
+
+    @pytest.mark.parametrize("precision, step, cause", [
+        ("256", 5, "polynomial is numerically zero"),
+        ("64", 4, "mu needs nonzero q+_1 and q-_1"),
+    ])
+    def test_chain_numerically_vanishing_polynomial_is_a_failed_step(self, precision, step, cause,
+                                                                       tmp_path, capsys):
+        # the exact G2 chain passes; read numerically, a completion chops to
+        # zero and the chain ends in one report with a failing step
+        inst, _, sol = g2_rational()
+        ipath = _write(tmp_path, "g2.json", fileio.instance_to_doc(inst))
+        spath = _write(tmp_path, "g2s.json", fileio.solution_to_doc(F, sol))
+        argv = ["chain", ipath, spath, "--word", "1,2,1,2,1,2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--backend", "numeric", "--precision", precision]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert [(c["name"], c["pass"], c["residual"]) for c in report["checks"]] == [
+            (f"chain_step_{step}", False, cause)]
+        assert len(report["artifacts"]["trace"]["steps"]) == step - 1
+        assert "Traceback" not in captured.err
 
     def test_admissible_pass_and_fail(self, tmp_path, capsys):
         datum = {"cartan": {"family": "A", "rank": 1}, "d": [1], "N": [1]}

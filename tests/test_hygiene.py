@@ -1,5 +1,6 @@
-"""Source hygiene: no library module imports a name it never uses, and no
-module-level private helper is left without a use."""
+"""Source hygiene: no library module imports a name it never uses, no
+module-level private helper is left without a use, and no defaulted
+parameter of a library function is left without a caller that passes it."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,63 @@ def loaded_in_src_and_tests():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_private_helpers(path, loaded_in_src_and_tests):
     assert dead_private_helpers(path.read_text(encoding="utf-8"), loaded_in_src_and_tests) == []
+
+
+def defaulted_parameters(source: str) -> dict:
+    """Module-level function of ``source`` -> its parameters with a default,
+    as ``(name, position)``; the position of a keyword-only one is None."""
+    out = {}
+    for n in ast.parse(source).body:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = n.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(p.arg, k) for k, p in enumerate(positional) if k >= first]
+            params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if params:
+                out[n.name] = params
+    return out
+
+
+def passed_arguments(*sources: str) -> dict:
+    """Called name -> (most positional arguments, keyword names) over the
+    calls in ``sources``, by function or attribute name; a name imported
+    under an alias counts as the original."""
+    out = {}
+    for source in sources:
+        tree = ast.parse(source)
+        alias = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                 for a in n.names if a.asname}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                name = alias.get(name, name)
+                npos, kws = out.get(name, (0, set()))
+                out[name] = (max(npos, len(n.args)), kws | {k.arg for k in n.keywords})
+    return out
+
+
+def unused_parameters(source: str, passed: dict) -> list:
+    """``function(parameter)`` for each defaulted parameter of a module-level
+    function in ``source`` that no call in ``passed`` supplies."""
+    out = []
+    for fn, params in defaulted_parameters(source).items():
+        npos, kws = passed.get(fn, (0, set()))
+        out.extend(f"{fn}({p})" for p, k in params if p not in kws and (k is None or k >= npos))
+    return sorted(out)
+
+
+def test_checker_flags_an_unused_parameter():
+    lib = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\ndef g(x=0):\n    pass\n\n"
+           "class K:\n    def m(self, y=0):\n        pass\n")
+    user = "from lib import f as h, g\nh(0, 1, e=5)\nobj.g()\n"
+    assert unused_parameters(lib, passed_arguments(user)) == ["f(c)", "f(d)", "g(x)"]
+    assert unused_parameters(lib, passed_arguments(user, "g(1)")) == ["f(c)", "f(d)"]
+
+
+def test_no_unused_parameters():
+    """Every defaulted parameter of a module-level library function is passed
+    by some call in the library, the tests or the demos."""
+    paths = [p for root in (SRC, TESTS, TESTS.parent / "demos") for p in sorted(root.glob("*.py"))]
+    passed = passed_arguments(*(p.read_text(encoding="utf-8") for p in paths))
+    assert [u for p in MODULES for u in unused_parameters(p.read_text(encoding="utf-8"), passed)] == []

@@ -96,7 +96,7 @@ class TestGl2Oper:
                 # u = diag(1, prod^(-1)): conjugating raw must give tilde
                 u = RatMatrix.build([[rf_const(F, 1), rf_zero(F)],
                                      [rf_zero(F), RationalFn.make(Poly.const(F, 1), prod)]])
-                gauged = gauge_transform(op.raw, u, u.inverse_triangular())
+                gauged = gauge_transform(op.raw, u)
                 assert gauged.defect(op.tilde) == 0
 
 
@@ -135,6 +135,52 @@ def _assert_two_product_gauge(a_mat, v):
     for r in range(v.n):
         for c in range(v.n):
             assert got.entries[r][c] == expected.entries[r][c]
+
+
+class TestDefect:
+    def test_numeric_relative_defect_bit_for_bit(self):
+        # A against v (d + Z) v^-1 of a numeric diagonalization, entry by entry:
+        # |a_num b_den - b_num a_den| / max(|a_num b_den|, |b_num a_den|, |a_den| |b_den|, 1)
+        N = bq.NumericField(256)
+        inst, _, sol = a2_rational(N)
+        out = bq.diagonalize_type_a(inst, sol, bq.w0_reduced_word(inst.ctype))
+        a_mat = bq.connection_matrix(inst, sol)
+        gauged = gauge_transform(bq.twist_matrix(N, inst.twist), out.v)
+        expected = []
+        for ra, rb in zip(a_mat.entries, gauged.entries):
+            for a, b in zip(ra, rb):
+                lhs, rhs = a.num * b.den, b.num * a.den
+                scale = max(lhs.norm(), rhs.norm(), a.den.norm() * b.den.norm(), N.abs(N.one))
+                expected.append((lhs - rhs).norm() / scale)
+        got = a_mat.defect(gauged)
+        assert got == max(expected) and got == out.residual
+        assert 0 < got <= N.tau
+
+
+class TestTypeAMatrices:
+    def test_a3_diagonal_and_superdiagonal(self):
+        # zeta = (3, 2, 5/2), Lambda = (z, 1, 1) and one root per color, so
+        # g_a = zeta_a - 1/(z - w_a) and the diagonal reads g_a - g_{a-1}
+        inst = bq.QQInstance.make(bq.CartanType("A", 3), F, [(0, (1, 0, 0))], [3, 2, Q(5, 2)])
+        w = [Q(-2, 11), Q(-28, 33), Q(-13, 11)]
+        sol = bq.roots_to_solution(inst, bq.BetheRoots.make(F, [[x] for x in w]))
+
+        def pole(x):
+            return RationalFn.make(P(1), P(-x, 1))
+
+        diag = [rf_const(F, 3) - pole(w[0]),
+                rf_const(F, -1) + pole(w[0]) - pole(w[1]),
+                rf_const(F, Q(1, 2)) + pole(w[1]) - pole(w[2]),
+                rf_const(F, Q(-5, 2)) + pole(w[2])]
+        upper = {(0, 1): P(0, 1), (1, 2): P(1), (2, 3): P(1)}
+        a_mat = bq.connection_matrix(inst, sol)
+        z_mat = bq.twist_matrix(F, inst.twist)
+        for r in range(4):
+            for c in range(4):
+                want = diag[r] if r == c else RationalFn.from_poly(upper.get((r, c), P()))
+                assert a_mat.entries[r][c].defect(want) == 0, (r, c)
+                want = rf_const(F, [3, -1, Q(1, 2), Q(-5, 2)][r]) if r == c else rf_zero(F)
+                assert z_mat.entries[r][c].defect(want) == 0, (r, c)
 
 
 class TestGaugeTransform:
