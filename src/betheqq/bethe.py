@@ -48,8 +48,9 @@ class BetheRoots:
         return sum(len(c) for c in self.roots)
 
     def canonical(self, field: Field) -> "BetheRoots":
-        """Sort each color lexicographically by (real, imaginary) part."""
-        return BetheRoots(tuple(tuple(sorted(c, key=field.sort_key)) for c in self.roots))
+        """Sort each color by real part, then imaginary part, real parts
+        within ``tau_root`` counting as equal (``Field.ordered``)."""
+        return BetheRoots(tuple(tuple(field.ordered(c)) for c in self.roots))
 
     def flat(self) -> list:
         return [w for color in self.roots for w in color]
@@ -394,9 +395,11 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
     """Validate ``part`` once, in the instance's field: every W_j is drawn
     from the multiplicity-free pool Z_j u U_{a_{kj}<0} W_k (Z_j the roots of
     Lambda_j), and the instance must be simply laced with squarefree,
-    pairwise-disjoint Z_j.  Returns per color j the source of each root of
-    W_j, ``(0, i)`` for point i of Z_j or ``(k, t)`` for root t of W_k, and
-    the pool that W_j leaves (the roots of q-_j).
+    pairwise-disjoint Z_j.  Returns per color j the pool that W_j leaves
+    (the roots of q-_j), and whether every root of every W_j is drawn from
+    its own Z_j.  A root drawn from W_k puts it twice into the color-j
+    product unless W_j's copy is itself drawn from W_k, so it occurs only
+    in a cycle, which has no large-twist branch.
     """
     field = inst.field
     if not inst.ctype.is_simply_laced:
@@ -414,69 +417,49 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
                 raise BadPartition(f"Z_{i + 1} and Z_{j + 1} share a point")
     if len(part.w_sets) != inst.rank:
         raise BadPartition("partition needs one W set per color")
-    sources, rests = [], []
+    rests, from_points = [], True
     for j in range(1, inst.rank + 1):
-        pool, tags = list(z_sets[j - 1]), [(0, i) for i in range(len(z_sets[j - 1]))]
+        pool, own = list(z_sets[j - 1]), len(z_sets[j - 1])  # pool[:own] is what is left of Z_j
         for k in range(1, inst.rank + 1):
             if k != j and cmat.a(k, j) < 0:
                 pool.extend(part.w_sets[k - 1])
-                tags.extend((k, t) for t in range(len(part.w_sets[k - 1])))
         # multiplicity-free right-hand side
         if any(_near(field, z, pool[a + 1:]) is not None for a, z in enumerate(pool)):
             raise BadPartition(f"multiplicity in the color-{j} product")
-        src = []
         for w in part.w_sets[j - 1]:
             idx = _near(field, w, pool)
             if idx is None:
                 raise BadPartition(f"W_{j} is not contained in its pool")
             pool.pop(idx)
-            src.append(tags.pop(idx))
-        sources.append(src)
+            if idx < own:
+                own -= 1
+            else:  # drawn from an adjacent W_k
+                from_points = False
         rests.append(pool)
-    return sources, rests
+    return rests, from_points
 
 
 def infinite_solution(inst: QQInstance, part: InfinitePartition) -> QQSolution:
     """Solution of the product system q+_j q-_j = Lambda_j prod (q+_k)^(-a_{kj}).
 
     Validates the partition (``_partition_sources``); q-_j has the roots that
-    W_j leaves in its pool.  Cyclic sources pass; ``seed_and_continue``
-    rejects them.
+    W_j leaves in its pool.  Roots drawn from an adjacent W_k (a cycle)
+    pass; ``seed_and_continue`` rejects them.
     """
     field = inst.field
-    rests = _partition_sources(inst, part)[1]
+    rests = _partition_sources(inst, part)[0]
     return QQSolution.make([poly_from_roots(field, ws) for ws in part.w_sets],
                            [poly_from_roots(field, rest) for rest in rests])
-
-
-def _seed_positions(system: _System, w_sets: Sequence, sources: list) -> BetheRoots:
-    """First-order seed w ~ source - 1/xi at the large twist of ``system``,
-    for the partition ``w_sets`` in its field with ``sources`` from
-    ``_partition_sources``.  Each root collides with its source as the twist
-    grows; with a cycle among the sources no large-twist branch exists.
-    """
-    one, xis, pos = system.field.one, system.xis, {}
-
-    def place(slot, path=()):
-        """Seed ``slot`` after its source; ``pos`` thus fills in post-order."""
-        if slot in path:
-            raise BadPartition("cyclic source assignment; no large-twist branch exists")
-        if slot not in pos:
-            j, s = slot
-            src = sources[j - 1][s]
-            base = w_sets[j - 1][s] if src[0] == 0 else place(src, path + (slot,))
-            pos[slot] = base - one / xis[j - 1]
-        return pos[slot]
-
-    return BetheRoots(tuple(tuple(place((j, s)) for s in range(len(ws))) for j, ws in enumerate(w_sets, start=1)))
 
 
 def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                       opts: SolveOptions | None = None, log: list | None = None) -> BetheRoots:
     """Track Bethe roots from the infinite system down to the target twist.
 
-    Each root is seeded to first order from its source (``_partition_sources``)
-    at twist scale ``t_top`` and tracked along the seeded complex detour
+    Each root w of W_j is a marked point of Z_j (a root drawn from an
+    adjacent W_k, which occurs only in a cycle, raises ``BadPartition``); it
+    is seeded to first order, ``w - 1/xi_j`` at twist scale ``t_top``, and
+    tracked along the seeded complex detour
     ``t(s) = t_top^(1-s) exp(i bump s(1-s))``, s from 0 to 1.  Each step
     predicts along the Euler tangent ``dw/ds = -J^-1 (dF/dt)(dt/ds)``,
     changing no root gap by more than itself, and corrects with at most
@@ -499,7 +482,8 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     field = inst.field
     if isinstance(field, ExactField):
         raise NoConvergence("continuation requires the numeric backend")
-    sources = _partition_sources(inst, part)[0]
+    if not _partition_sources(inst, part)[1]:
+        raise BadPartition("cyclic source assignment; no large-twist branch exists")
     xis = inst.xis()
     if any(x == 0 for x in xis):
         raise BadPartition("continuation target must pair nonzero with every simple root; "
@@ -559,7 +543,9 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                        {"phase": "track", "s": s, "h": h, "k": float(k)}), k
 
     try:
-        roots, k = correct(_seed_positions(at_scale(scale(0.0), 1), w_sets, sources), 1, 0.0, 0.0, opts)
+        one, top = track.one, at_scale(scale(0.0), 1).xis
+        seeds = BetheRoots(tuple(tuple(w - one / xi for w in ws) for ws, xi in zip(w_sets, top)))
+        roots, k = correct(seeds, 1, 0.0, 0.0, opts)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision

@@ -421,8 +421,7 @@ def roots(p: Poly) -> list:
         if abs(slope) > 0:
             w = w - mon(w) / slope
         polished.append(w)
-    polished.sort(key=field.sort_key)
-    return polished
+    return field.ordered(polished)
 
 
 def _near(field: Field, value, pool) -> int | None:

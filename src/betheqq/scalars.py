@@ -55,7 +55,8 @@ def _square(v):
 
 
 class _Magnitudes:
-    """Magnitude maxima and bounds, all decided by ``largest``."""
+    """Magnitude maxima and bounds, all decided by ``largest``, and the
+    one order of a root set."""
 
     def largest(self, values):
         """Index of the first nonzero value of largest magnitude, or None."""
@@ -74,6 +75,18 @@ class _Magnitudes:
         """``max(abs(v) for v in values)``, 0 when there are none."""
         i = self.largest(values)
         return self.abs(self.zero if i is None else values[i])
+
+    def ordered(self, values) -> list:
+        """``values`` sorted by real part; real parts within ``tau_root`` of
+        the first of a run count as equal, and the run is sorted by imaginary
+        part.  On ``ExactField`` (``tau_root`` 0) ties are exact."""
+        out, run = [], []
+        for v in sorted(values, key=lambda v: v.real):
+            if run and abs(v.real - run[0].real) > self.tau_root:
+                out += sorted(run, key=lambda v: v.imag)
+                run = []
+            run.append(v)
+        return out + sorted(run, key=lambda v: v.imag)
 
 
 class ExactField(_Magnitudes):
@@ -111,9 +124,6 @@ class ExactField(_Magnitudes):
 
     def abs(self, x) -> Fraction:
         return abs(x)
-
-    def sort_key(self, x):
-        return (x, Fraction(0))
 
     def to_literal(self, x) -> str:
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -180,8 +190,8 @@ class NumericField(_Magnitudes):
         raise ParseError(f"cannot coerce {type(value).__name__} to a numeric scalar; a complex literal is [re, im]")
 
     def is_zero(self, x, scale=None) -> bool:
-        bound = self.tau if scale is None else self.tau * max(self.ctx.mpf(1), abs(scale))
-        return abs(x) <= bound
+        """|x| <= tau |scale|, relative with no floor (tau without a scale)."""
+        return abs(x) <= self.tau * (1 if scale is None else abs(scale))
 
     def eq(self, x, y) -> bool:
         return abs(x - y) <= self.tau * max(self.ctx.mpf(1), abs(x), abs(y))
@@ -202,10 +212,6 @@ class NumericField(_Magnitudes):
         mags = [m << (e - low) for m, e in keys]
         top = max(mags)
         return mags.index(top) if top else None
-
-    def sort_key(self, x):
-        z = self.ctx.mpc(x)
-        return (z.real, z.imag)
 
     def to_literal(self, x):
         """Decimal string(s) carrying the full stored precision."""

@@ -60,12 +60,15 @@ def exact_solved_fixtures():
 
 
 def random_bijection_case(rng: random.Random, rank: int, field):
-    """Random type-A instance with a validated infinite-system partition.
+    """Random type-A instance with a validated infinite-system partition
+    that draws every root from its own marked points (no cycle).
 
     Pairings are kept at magnitude >= 1 and points inside [-5, 5], so every
     Bethe root stays within O(1) of the marked points; a 1e-6 root
     perturbation then moves some residual well above 1e-8.
     """
+    from betheqq.bethe import _partition_sources
+
     while True:
         npts = rng.randint(rank, rank + 2)
         pts, used = [], set()
@@ -97,14 +100,10 @@ def random_bijection_case(rng: random.Random, rank: int, field):
                             wsets[j].append(w)
         part = bq.InfinitePartition.make(field, [[field(w) for w in ws] for ws in wsets])
         try:
-            from betheqq.bethe import _partition_sources, _seed_positions, _System
-
-            sources = _partition_sources(inst, part)[0]
-            large = _System.of(inst).at_scale([z * field.ctx.mpf(2) ** 40 for z in inst.twist.zeta], 1)
-            _seed_positions(large, part.w_sets, sources)
+            if _partition_sources(inst, part)[1]:  # every root drawn from its own Z_j
+                return inst, part
         except bq.BadPartition:
-            continue
-        return inst, part
+            pass
 
 
 def random_valid_roots(rng: random.Random, field, rank: int = 2):

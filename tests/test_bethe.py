@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
 
@@ -256,16 +257,55 @@ class TestInfiniteSystem:
         with pytest.raises(bq.BadPartition):
             bq.seed_and_continue(inst, part)
 
-    def test_seeds_are_first_order(self):
-        # xi = (4, 1); root (2, 1) is sourced from root (1, 0), itself sourced
-        # from the point 0 of Z_1, so its seed chains: 0 - 1/4 - 1/1
-        from betheqq.bethe import _seed_positions, _System
+    def test_seeds_are_first_order(self, monkeypatch):
+        # each root of W_j starts at its marked point minus 1/xi_j of the top
+        # scale: the first corrector receives w - 1/xi_j in its coordinates
+        from betheqq import bethe
 
-        inst = bq.QQInstance.make(bq.CartanType("A", 2), F, [(0, (1, 0)), (3, (0, 1))], [3, 2])
+        calls, real = [], bethe._newton
+
+        def spy(system, init, *args):
+            calls.append((system, init))
+            return real(system, init, *args)
+
+        monkeypatch.setattr(bethe, "_newton", spy)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N, [(0, (1, 0)), (3, (0, 1))], [3, 2])
         assert inst.xis() == (4, 1)
-        sources = [[(0, 0)], [(0, 0), (1, 0)]]
-        seeds = _seed_positions(_System.of(inst), [[0], [3, 0]], sources)
-        assert seeds.roots == ((Q(-1, 4),), (Q(2), Q(-5, 4)))
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [3]]), bq.SolveOptions(seed=3))
+        assert bq.verify_bethe(inst, roots).ok
+        system, seeds = calls[0]
+        for (w,), ((z, _),), xi in zip(seeds.roots, system.poles, system.xis):
+            assert abs((w - z) * xi + 1) < 1e-9  # a second-order term would be ~1e-3
+
+    def test_root_sourced_roots_only_in_cycles(self):
+        # A2 over the points {0, 1, 9}, every assignment of them to colors (or
+        # to none, at least one marked), every pair of W sets: each partition
+        # that infinite_solution accepts with a root outside its own Z_j is
+        # a cycle, which seed_and_continue rejects before tracking
+        from betheqq.bethe import _partition_sources
+
+        pts = (0, 1, 9)
+        subsets = [list(c) for n in range(4) for c in combinations(pts, n)]
+        accepted = root_sourced = 0
+        for colors in product((0, 1, 2), repeat=3):
+            if not any(colors):
+                continue
+            inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                      [(z, (int(c == 1), int(c == 2))) for z, c in zip(pts, colors) if c], [1, 3])
+            for w_sets in product(subsets, repeat=2):
+                part = bq.InfinitePartition.make(N, w_sets)
+                try:
+                    bq.infinite_solution(inst, part)
+                except bq.BadPartition:
+                    continue
+                accepted += 1
+                from_points = all(colors[pts.index(w)] == j for j, ws in enumerate(w_sets, start=1) for w in ws)
+                assert _partition_sources(inst, part)[1] == from_points
+                if not from_points:
+                    root_sourced += 1
+                    with pytest.raises(bq.BadPartition, match="cyclic"):
+                        bq.seed_and_continue(inst, part)
+        assert (accepted, root_sourced) == (208, 84)
 
 
 class TestContinuation:
@@ -457,3 +497,21 @@ class TestRoundTrip:
         roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=8))
         sol = bq.roots_to_solution(inst, roots)
         assert bq.residuals_vanish(inst, sol)
+
+
+class TestCanonical:
+    def test_rounding_in_equal_real_parts_keeps_the_order(self):
+        # a conjugate pair whose real parts differ by rounding noise, either
+        # way, comes out in one order: by imaginary part
+        x, y, i = N("1.8"), N("0.893"), N([0, 1])
+        for d in (N.ctx.mpf("1.7e-77"), N.ctx.mpf("-1.7e-77")):
+            for pair in ((x + y * i, x + d - y * i), (x + d - y * i, x + y * i)):
+                out = bq.BetheRoots((pair,)).canonical(N).roots[0]
+                assert [w.imag < 0 for w in out] == [True, False]
+        # real parts beyond tau_root apart still order by real part
+        apart = bq.BetheRoots(((x + 1 - y * i, x + y * i, x - y * i),)).canonical(N).roots[0]
+        assert apart == (x - y * i, x + y * i, x + 1 - y * i)
+
+    def test_exact_order_is_by_value(self):
+        roots = bq.BetheRoots.make(F, [[3, Q(1, 2), -2, Q(1, 2)], []])
+        assert roots.canonical(F).roots == ((-2, Q(1, 2), Q(1, 2), 3), ())

@@ -62,3 +62,12 @@ def test_other_backends_compare_abs():
     assert exact.largest([Q(0), Q(-2), Q(2)]) == 1 and exact.within(Q(-1, 2), Q(1, 2))
     assert machine.max_abs([3j, -4.0, 0j]) == 4.0 and machine.largest([0j, 0.0]) is None
     assert machine.within(1e-300j, 1e-300) and not machine.within(2.0, 1.5)
+
+
+def test_zero_is_relative_to_scale():
+    # tau = 2^-160 at 256 bits: the bound is tau |scale| on either side of 1
+    field = bq.NumericField(256)
+    two = field.ctx.mpf(2)
+    assert field.is_zero(two ** -161) and not field.is_zero(two ** -159)
+    assert field.is_zero(two ** -361, scale=two ** -200) and not field.is_zero(two ** -300, scale=two ** -200)
+    assert field.is_zero(two ** 39, scale=two ** 200) and not field.is_zero(two ** 41, scale=two ** 200)
