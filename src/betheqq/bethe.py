@@ -82,36 +82,45 @@ def _collision_guard(field: Field, denom, where: str, *at):
     return denom
 
 
+@dataclass(frozen=True)
 class _System:
-    """The Bethe equations of one instance at one twist scale: per color,
-    xi_i, the poles ``(z_k, e_{k,i})``, the couplings ``{j: a_ji}`` and a
-    nonconstant cofactor p with p' and (p'/p)', all in ``field``.  Every
-    view (bethe_residual, bethe_jacobian, verify_bethe, Newton) evaluates
-    ``equation``, so all agree bit for bit."""
+    """The Bethe equations of one instance at one twist scale, in ``field``:
+    per color xi_i, the poles ``(k, e_{k,i})`` with k an index into the points
+    p = (0, z_1, ..., z_m), the couplings ``{j: a_ji}`` and a nonconstant
+    cofactor p with p' and (p'/p)'.  ``diff[a][b] = p_a - p_b`` is formed in
+    the instance's field.  A root is an offset from its anchor, an index into
+    p: ``anchors`` holds one per root (and then no cofactor), or is None for
+    the origin, as in every public view.  All views evaluate ``equation``."""
 
-    def __init__(self, field: Field, xis: tuple, poles: tuple, couplings: tuple, extra: tuple):
-        self.field, self.xis, self.poles, self.couplings, self.extra = field, xis, poles, couplings, extra
+    field: Field
+    xis: tuple
+    diff: tuple
+    poles: tuple
+    couplings: tuple
+    extra: tuple
+    anchors: tuple | None = None
 
     @staticmethod
     def of(inst: QQInstance) -> "_System":
         """``inst``'s data, a nonconstant cofactor p as ``(p,)``, coerced by ``to``."""
-        r, cmat = inst.rank, inst.cartan
-        poles = tuple(tuple((z, exps[i]) for z, exps in inst.points if exps[i]) for i in range(r))
-        return _System(None, inst.xis(), poles,
+        r, cmat, pts = inst.rank, inst.cartan, (0,) + tuple(z for z, _ in inst.points)
+        return _System(None, inst.xis(), tuple(tuple(a - b for b in pts) for a in pts),
+                       tuple(tuple((k, e[i]) for k, (_, e) in enumerate(inst.points, 1) if e[i]) for i in range(r)),
                        tuple({j: cmat.a(j, i) for j in range(1, r + 1) if cmat.a(j, i)} for i in range(1, r + 1)),
                        tuple(None if e is None or e.degree() == 0 else (e,) for e in inst.extra)).to(inst.field)
 
-    def to(self, field: Field) -> "_System":
-        """The same equations with each coefficient coerced to ``field``; a
-        cofactor's derivatives are formed there."""
-        f = field
+    def to(self, f: Field) -> "_System":
+        """The same equations with each coefficient coerced to the field
+        ``f``; a cofactor's derivatives are formed there."""
         extra = [e and Poly.make(f, e[0].coeffs) for e in self.extra]
-        return _System(f, tuple(map(f, self.xis)), tuple(tuple((f(z), f(e)) for z, e in p) for p in self.poles),
+        return _System(f, tuple(map(f, self.xis)), tuple(tuple(map(f, row)) for row in self.diff),
+                       tuple(tuple((k, f(e)) for k, e in p) for p in self.poles),
                        tuple({j: f(a) for j, a in c.items()} for c in self.couplings),
-                       tuple(p and (p, p.deriv(), RationalFn.make(p.deriv(), p).deriv()) for p in extra))
+                       tuple(p and (p, p.deriv(), RationalFn.make(p.deriv(), p).deriv()) for p in extra),
+                       self.anchors)
 
     def at_scale(self, zeta: Sequence, k) -> "_System":
-        """The equations at the twist of coroot coordinates ``zeta``, points
+        """The equations at the twist of coroot coordinates ``zeta``, coordinates
         multiplied by k; xi_i is formed as ``rootsys.pairing`` forms it."""
         xis = []
         for couplings in self.couplings:
@@ -119,8 +128,8 @@ class _System:
             for j, a in couplings.items():
                 acc = acc + a * zeta[j - 1]
             xis.append(acc)
-        return _System(self.field, tuple(xis), tuple(tuple((k * z, e) for z, e in p) for p in self.poles),
-                       self.couplings, self.extra)
+        return _System(self.field, tuple(xis), tuple(tuple(k * d for d in row) for row in self.diff), self.poles,
+                       self.couplings, self.extra, self.anchors)
 
     def equation(self, colors: tuple, i: int, ell: int, residual: bool = True, row: list | None = None,
                  starts: Sequence = ()):
@@ -128,10 +137,11 @@ class _System:
         each denominator guarded against collision (None unless
         ``residual``); given ``row``, also fill in its unguarded Jacobian row,
         color j starting at column ``starts[j]``.  Each w - v is formed once."""
-        field, w = self.field, colors[i][ell]
+        field, w, anchors = self.field, colors[i][ell], self.anchors
         acc, diag = self.xis[i], field.zero
-        for z, e in self.poles[i]:
-            d = w - z
+        shift = self.diff[anchors[i][ell] if anchors else 0]
+        for k, e in self.poles[i]:
+            d = w + shift[k]
             if residual:
                 acc = acc + e / _collision_guard(field, d, "w - z ({},{})", i + 1, ell + 1)
             if row is not None:
@@ -146,7 +156,7 @@ class _System:
             for s, v in enumerate(colors[j - 1]):
                 if j == i + 1 and s == ell:
                     continue
-                d = w - v
+                d = w - v + shift[anchors[j - 1][s]] if anchors else w - v
                 if residual:
                     acc = acc - a / _collision_guard(field, d, "w - w ({},{})/({},{})", i + 1, ell + 1, j, s + 1)
                 if row is not None:
@@ -155,6 +165,21 @@ class _System:
         if row is not None:
             row[starts[i] + ell] = diag
         return acc if residual else None
+
+    def gaps(self, colors: tuple):
+        """Yield each denominator of the equations at the roots ``colors``, as
+        ``equation`` forms it, that vanishes when roots collide (on a
+        continuation path, where every cofactor is constant, all of them)."""
+        anchors = self.anchors
+        for i, color in enumerate(colors):
+            for ell, w in enumerate(color):
+                shift = self.diff[anchors[i][ell] if anchors else 0]
+                yield from (w + shift[k] for k, _ in self.poles[i])
+                # each pair once: this color's later roots, then those of later coupled colors
+                for j in (j for j in self.couplings[i] if j > i):
+                    for s in range(ell + 1 if j == i + 1 else 0, len(colors[j - 1])):
+                        v = colors[j - 1][s]
+                        yield w - v + shift[anchors[j - 1][s]] if anchors else w - v
 
     def sweep(self, roots: BetheRoots, residual: bool = True, jacobian: bool = False):
         """``(residuals, max |residual|, Jacobian)`` in the flat root order
@@ -170,18 +195,6 @@ class _System:
 def _system(inst: QQInstance) -> _System:
     """``_System.of(inst)``, built once and kept on the instance."""
     return vars(inst).get("_bethe") or vars(inst).setdefault("_bethe", _System.of(inst))
-
-
-def _root_pairs(system: _System, roots: BetheRoots):
-    """Yield each pair (w, v) of a root and a root or marked point whose
-    difference is a denominator of the equations (on a continuation path,
-    where every cofactor is constant, all that vanish when roots collide)."""
-    colors = roots.roots
-    for i, color in enumerate(colors):
-        for a, w in enumerate(color):
-            yield from ((w, v) for v in color[a + 1:])
-            yield from ((w, z) for z, _ in system.poles[i])
-            yield from ((w, v) for j in system.couplings[i] if j > i + 1 for v in colors[j - 1])
 
 
 def bethe_residual(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
@@ -238,8 +251,8 @@ _MIN_STEP = 2.0 ** -30  #: the smallest continuation step in the path parameter 
 _DAMPING = ("1", "1/2", "1/4", "1/8", "1/16")  #: the damped step lengths Newton tries, in order
 _MACH = MachineField()
 #: the widest ratio of magnitude to distance that machine floats resolve to
-#: about half their digits: wider spreads are tracked in the caller's field,
-#: and roots closer than this for their size get full-precision directions
+#: about half their digits: ``solve_newton`` takes full-precision directions
+#: where a gap of the equations is closer than this for the roots and points
 _MACH_SPREAD = _MACH.tau_root ** 0.5 / _MACH.tau
 
 
@@ -259,9 +272,10 @@ def _machine_direction(machine: _System, rts: BetheRoots, res: list) -> list:
     """The Newton direction for the residuals ``res`` at ``rts`` from the
     Jacobian of ``machine``, the equations in machine floats, at the roots
     rounded to floats; SingularJacobian also when it is not finite, or when
-    rounding leaves some difference of the equations too few digits."""
+    some gap of the equations is too small for the roots and points."""
     rounded = BetheRoots(tuple(tuple(complex(w) for w in color) for color in rts.roots))
-    if any(abs(w - v) * _MACH_SPREAD < max(abs(w), abs(v)) for w, v in _root_pairs(machine, rounded)):
+    top = max(map(abs, rounded.flat() + list(machine.diff[0])))
+    if any(abs(g) * _MACH_SPREAD < top for g in machine.gaps(rounded.roots)):
         raise SingularJacobian("roots too close for their magnitude in machine floats")
     try:
         delta = _newton_direction(_MACH, machine.sweep(rounded, residual=False, jacobian=True)[2],
@@ -290,20 +304,23 @@ def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None =
     steps).  The iteration falls back to the full-precision direction when
     the machine one is singular, not finite or too long, or when no damped
     step along it is accepted before convergence; past the tolerance a
-    machine step that fails to halve the residual ends the polish.
+    machine step that fails to halve the residual ends the polish, and so
+    does a max residual at the precision floor, eps times max |xi_i|.  The
+    roots come back in the canonical order (``BetheRoots.canonical``).
     Log records carry ``context``, the retry ``"attempt"`` and the
     ``"jacobian_precision"`` of the step's direction (53: machine floats).
     """
-    return _newton(_system(inst), init, opts, log, polish, context)
+    return _newton(_system(inst), init, opts, log, polish, context).canonical(inst.field)
 
 
 def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: list | None,
             polish: bool, context: dict | None) -> BetheRoots:
-    """``solve_newton`` on the equations ``system``."""
+    """``solve_newton`` on the equations ``system``, keeping the order of ``init``."""
     opts = opts or SolveOptions()
     field = system.field
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
+    floor = field.zero if isinstance(field, ExactField) else field.ctx.eps * field.max_abs(system.xis)
     rng = random.Random(opts.seed)
     damps = [field(d) for d in _DAMPING]
 
@@ -351,7 +368,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
             res, worst, jac = system.sweep(rts, jacobian=machine is None)
             for it in range(opts.max_iterations + 1):
                 converged = worst <= tol
-                if converged and (not polish or worst == 0) or it == opts.max_iterations:
+                if converged and (not polish or worst <= floor) or it == opts.max_iterations:
                     break
                 taken, jac = step(rts, res, worst, jac, converged), None
                 if taken is None:
@@ -363,7 +380,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
             if worst > tol:
                 raise NoConvergence(f"residual {worst} after {opts.max_iterations} iterations")
             record(it, worst, 1, prec, attempt, converged=True)
-            return rts.canonical(field)
+            return rts
         except SingularJacobian:
             if attempt == 3 or isinstance(field, ExactField):
                 raise
@@ -396,10 +413,11 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
     from the multiplicity-free pool Z_j u U_{a_{kj}<0} W_k (Z_j the roots of
     Lambda_j), and the instance must be simply laced with squarefree,
     pairwise-disjoint Z_j.  Returns per color j the pool that W_j leaves
-    (the roots of q-_j), and whether every root of every W_j is drawn from
-    its own Z_j.  A root drawn from W_k puts it twice into the color-j
-    product unless W_j's copy is itself drawn from W_k, so it occurs only
-    in a cycle, which has no large-twist branch.
+    (the roots of q-_j), and the anchor of each root of W_j: the index k of
+    the marked point z_k of Z_j it is drawn from (1-based in
+    ``inst.points``), or None for a root drawn from W_k.  Such a root is put
+    twice into the color-j product unless W_j's copy is itself drawn from
+    W_k, so it occurs only in a cycle, which has no large-twist branch.
     """
     field = inst.field
     if not inst.ctype.is_simply_laced:
@@ -410,33 +428,34 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
             raise BadPartition("instances with polynomial cofactors cannot be partitioned")
         if any(exps[i] > 1 for _, exps in inst.points):
             raise BadPartition(f"Lambda_{i + 1} has a multiple root; squarefree mode requires exponents <= 1")
-    z_sets = [[z for z, exps in inst.points if exps[i] == 1] for i in range(inst.rank)]
+    own = [[k for k, (_, exps) in enumerate(inst.points, start=1) if exps[i] == 1] for i in range(inst.rank)]
+    z_sets = [[inst.points[k - 1][0] for k in ks] for ks in own]
     for i in range(inst.rank):
         for j in range(i + 1, inst.rank):
             if any(_near(field, z, z_sets[j]) is not None for z in z_sets[i]):
                 raise BadPartition(f"Z_{i + 1} and Z_{j + 1} share a point")
     if len(part.w_sets) != inst.rank:
         raise BadPartition("partition needs one W set per color")
-    rests, from_points = [], True
+    rests, anchors = [], []
     for j in range(1, inst.rank + 1):
-        pool, own = list(z_sets[j - 1]), len(z_sets[j - 1])  # pool[:own] is what is left of Z_j
+        pool, tags = list(z_sets[j - 1]), list(own[j - 1])  # tags: each pool entry's anchor
         for k in range(1, inst.rank + 1):
             if k != j and cmat.a(k, j) < 0:
                 pool.extend(part.w_sets[k - 1])
+                tags.extend([None] * len(part.w_sets[k - 1]))
         # multiplicity-free right-hand side
         if any(_near(field, z, pool[a + 1:]) is not None for a, z in enumerate(pool)):
             raise BadPartition(f"multiplicity in the color-{j} product")
+        found = []
         for w in part.w_sets[j - 1]:
             idx = _near(field, w, pool)
             if idx is None:
                 raise BadPartition(f"W_{j} is not contained in its pool")
             pool.pop(idx)
-            if idx < own:
-                own -= 1
-            else:  # drawn from an adjacent W_k
-                from_points = False
+            found.append(tags.pop(idx))
         rests.append(pool)
-    return rests, from_points
+        anchors.append(tuple(found))
+    return rests, tuple(anchors)
 
 
 def infinite_solution(inst: QQInstance, part: InfinitePartition) -> QQSolution:
@@ -456,33 +475,32 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                       opts: SolveOptions | None = None, log: list | None = None) -> BetheRoots:
     """Track Bethe roots from the infinite system down to the target twist.
 
-    Each root w of W_j is a marked point of Z_j (a root drawn from an
-    adjacent W_k, which occurs only in a cycle, raises ``BadPartition``); it
-    is seeded to first order, ``w - 1/xi_j`` at twist scale ``t_top``, and
-    tracked along the seeded complex detour
+    Each root w of W_j is a marked point z_a of Z_j (a root drawn from an
+    adjacent W_k, which occurs only in a cycle, raises ``BadPartition``).
+    Its offset u = w - z_a is seeded to first order, ``-1/xi_j`` at twist
+    scale ``t_top``, and tracked along the seeded complex detour
     ``t(s) = t_top^(1-s) exp(i bump s(1-s))``, s from 0 to 1.  Each step
-    predicts along the Euler tangent ``dw/ds = -J^-1 (dF/dt)(dt/ds)``,
-    changing no root gap by more than itself, and corrects with at most
-    three Newton iterations to the machine ``tau_root`` relative to the
-    twist.  The step starts at ``1 / (opts.continuation - 1)``, doubles
+    predicts along the Euler tangent ``du/ds = -J^-1 (dF/dt)(dt/ds)``,
+    changing no gap of the equations by more than itself, and corrects with
+    at most three Newton iterations to the machine ``tau_root`` relative to
+    the twist.  The step starts at ``1 / (opts.continuation - 1)``, doubles
     after an accepted step and halves after a rejected one; below
     ``_MIN_STEP`` the corrector's last failure is raised (a collision as
-    ``PathCollision``).  The path runs on the caller's Bethe equations,
-    shifted, rescaled and coerced once to machine floats (``MachineField``),
-    or kept in the caller's field when the points spread too wide, from
-    ``t_top = tau_root^(-1/2) / sigma`` of the tracking field, sigma =
-    min(1, min|xi| * spacing); ``_System.at_scale`` gives each scale's
-    equations.  A refinement in the caller's field polishes the roots to its
-    precision floor, with Newton directions from machine-float Jacobians
-    when it is wider than 53 bits (see ``solve_newton``).  Log records carry
-    ``"phase"`` (``"track"`` or ``"refine"``); tracking records also carry
-    ``"s"``, the step ``"h"`` and the coordinate scale ``"k"``.
+    ``PathCollision``).  The path runs in machine floats on the caller's
+    equations, rescaled and coerced once after the differences of the
+    points are formed in the caller's field, from ``t_top = tau_root^(-1/2)
+    / sigma``, sigma = min(1, min|xi| * spacing); ``_System.at_scale`` gives
+    each scale's equations.  The roots ``z_a + u / (c k)`` are refined once
+    in the caller's field to its precision floor (``solve_newton``).  Log
+    records carry ``"phase"`` (``"track"`` or ``"refine"``); tracking records
+    also carry ``"s"``, the step ``"h"`` and the coordinate scale ``"k"``.
     """
     opts = opts or SolveOptions()
     field = inst.field
     if isinstance(field, ExactField):
         raise NoConvergence("continuation requires the numeric backend")
-    if not _partition_sources(inst, part)[1]:
+    anchors = _partition_sources(inst, part)[1]
+    if any(a is None for color in anchors for a in color):
         raise BadPartition("cyclic source assignment; no large-twist branch exists")
     xis = inst.xis()
     if any(x == 0 for x in xis):
@@ -491,32 +509,26 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     if all(len(ws) == 0 for ws in part.w_sets):
         return BetheRoots(tuple(() for _ in range(inst.rank)))
 
-    # The equations keep their form under w, z -> c (w - b), xi -> xi / c
+    # The equations keep their form under w - z_a -> c (w - z_a), xi -> xi / c
     # (partitioned cofactors are constants).  The tracked ones have max|xi| =
     # sigma and points at least 1 apart, so from t_top every seed starts
     # between tau_root^(1/2) and tau_root^(1/2) times the spacing from its
-    # source.  Each step rescales again (``correct``), so the guards and pivot
-    # thresholds of the tracking field act relative to the geometry.
+    # anchor.  Each step rescales again (``correct``), so the guards and pivot
+    # thresholds of machine floats act relative to the geometry.
     mags = [field.abs(x) for x in xis]
     zs = [z for z, _ in inst.points]
     dists = [field.abs(u - v) for k, u in enumerate(zs) for v in zs[k + 1:]]
     sigma = min(1, min(mags) * min(dists)) if dists else 1
     c = max(mags) / sigma
-    b = sum(zs, field.zero) / len(zs)
-    track = mach = _MACH
-    if dists and c * max(dists) > _MACH_SPREAD:
-        track = field
-    system = _system(inst)  # shifted, rescaled and coerced once; at_scale forms each xi_i
-    tracked = _System(field, system.xis, tuple(tuple((c * (z - b), e) for z, e in p) for p in system.poles),
-                      system.couplings, system.extra).to(track)
-    zeta = [track(x / c) for x in inst.twist.zeta]
-    w_sets = [[track(c * (w - b)) for w in ws] for ws in part.w_sets]
-    ctx = track.ctx
-    t_top = track.tau_root ** -0.5 / track(sigma).real
+    system = _system(inst)  # rescaled and coerced once; at_scale forms each xi_i
+    tracked = replace(system.at_scale([x / c for x in inst.twist.zeta], c), anchors=anchors).to(_MACH)
+    zeta = [_MACH(x / c) for x in inst.twist.zeta]
+    ctx = _MACH.ctx
+    t_top = _MACH.tau_root ** -0.5 / float(sigma)
     # detour the scale through the complex plane (seeded), so the path avoids
     # the real discriminant locus where tracked roots would collide
     rng = random.Random(f"{opts.seed}-gamma")
-    bump = ctx.mpf(rng.uniform(0.8, 2.4)) * (1 if rng.random() < 0.5 else -1)
+    bump = rng.uniform(0.8, 2.4) * (1 if rng.random() < 0.5 else -1)
     inner = replace(opts, max_iterations=min(3, opts.max_iterations))
     lo = min(abs(x) for x in tracked.at_scale(zeta, 1).xis)
 
@@ -528,40 +540,39 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         return tracked.at_scale(tuple(z * t / k for z in zeta), k)
 
     def correct(roots, k, s, h, step_opts):
-        # keep the closest pair that may not collide within [1/16, 16] by
-        # rescaling to 1 apart, then correct to the machine tau_root relative
+        # keep the closest gap that may not vanish within [1/16, 16] by
+        # rescaling it to 1, then correct to the machine tau_root relative
         # to the smallest |xi| at this scale (at least tau_root^2)
         t = scale(s)
         at = at_scale(t, k)
-        gap = min(abs(w - v) for w, v in _root_pairs(at, roots))
+        gap = min(map(abs, at.gaps(roots.roots)))
         if not 1 / 16 <= gap <= 16 and gap > 0:
-            roots = BetheRoots(tuple(tuple(w / gap for w in color) for color in roots.roots))
+            roots = BetheRoots(tuple(tuple(u / gap for u in color) for color in roots.roots))
             k = k / gap
             at = at_scale(t, k)
-        tol = mach.tau_root * max(mach.tau_root, lo * abs(t) / k)
+        tol = _MACH.tau_root * max(_MACH.tau_root, lo * abs(t) / k)
         return _newton(at, roots, replace(step_opts, tolerance=tol), log, False,
                        {"phase": "track", "s": s, "h": h, "k": float(k)}), k
 
     try:
-        one, top = track.one, at_scale(scale(0.0), 1).xis
-        seeds = BetheRoots(tuple(tuple(w - one / xi for w in ws) for ws, xi in zip(w_sets, top)))
+        top = at_scale(scale(0.0), 1).xis
+        seeds = BetheRoots(tuple(tuple(-1 / xi for _ in color) for color, xi in zip(anchors, top)))
         roots, k = correct(seeds, 1, 0.0, 0.0, opts)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
                 raise failure or PathCollision(f"continuation step below {_MIN_STEP} at s = {s}")
             if tangent is None:
-                # Euler predictor: F(w, t(s)) = 0 with dF_i/dt = xi_i / t at scale t
+                # Euler predictor: F(u, t(s)) = 0 with dF_i/dt = xi_i / t at scale t
                 at = at_scale(scale(s), k)
                 dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
                 rhs = [-xi * dlog for xi, color in zip(at.xis, roots.roots) for _ in color]
-                tangent = _newton_direction(track, at.sweep(roots, residual=False, jacobian=True)[2], rhs)
-                gaps = [w - v for w, v in _root_pairs(at, roots)]
+                tangent = _newton_direction(_MACH, at.sweep(roots, residual=False, jacobian=True)[2], rhs)
+                gaps = list(at.gaps(roots.roots))
             nxt = min(1.0, s + h)
-            pred = roots.replace_flat([w + (nxt - s) * d for w, d in zip(roots.flat(), tangent)])
+            pred = roots.replace_flat([u + (nxt - s) * d for u, d in zip(roots.flat(), tangent)])
             # no gap may change by more than itself: guards against path jumping
-            pairs = _root_pairs(at, pred)
-            if any(abs(w - v - g0) > abs(g0) for (w, v), g0 in zip(pairs, gaps)):
+            if any(abs(g - g0) > abs(g0) for g, g0 in zip(at.gaps(pred.roots), gaps)):
                 h /= 2
                 continue
             try:
@@ -570,7 +581,8 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             except (NoConvergence, SingularJacobian, PoleCollision) as exc:
                 h, failure = h / 2, exc
         # one refinement in the caller's field under the caller's options
-        roots = BetheRoots(tuple(tuple(field(w) / (c * k) + b for w in color) for color in roots.roots))
+        roots = BetheRoots(tuple(tuple(system.diff[a][0] + field(u) / (c * k) for u, a in zip(color, ids))
+                                 for color, ids in zip(roots.roots, anchors)))
         return solve_newton(inst, roots, opts, log=log, polish=True, context={"phase": "refine"})
     except PoleCollision as exc:
         raise PathCollision(f"tracked roots merged on the path: {exc}") from exc

@@ -255,18 +255,15 @@ def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None
     cap = gen_deg if xi != 0 else max(gen_deg, qp.degree())
 
     rows_len = max(rhs.degree() if not rhs.is_zero else 0, qp.degree() + cap) + 1
-    cols = []
-    for k in range(cap + 1):
-        zk = Poly.make(field, [0] * k + [1])
-        col = wr(qp, zk) + (qp * zk).scale(xi)
-        cols.append([col.coeff(m) for m in range(rows_len)])
-    rows = [[cols[k][m] for k in range(cap + 1)] for m in range(rows_len)]
+    # column k holds W(q+_i, z^k) + xi q+_i z^k, rounded as those products round
+    c, dc = qp.coeff, qp.deriv().coeff
+    rows = [[k * c(m - k + 1) - dc(m - k) + xi * c(m - k) for k in range(cap + 1)] for m in range(rows_len)]
     b = [rhs.coeff(m) for m in range(rows_len)]
     sol, defect = solve_linear_system(field, rows, b)
-    scale = max(rhs.norm(), qp.norm(), field.abs(field.one))
-    if sol is None or not field.is_zero(defect, scale=scale):
+    h = None if sol is None else chop(Poly.make(field, sol))
+    # equation i reads only q-_i of the trial solution
+    if h is None or not equation_holds(inst, QQSolution.make(q_plus, [h] * inst.rank), i):
         raise InconsistentSystem(i, f"no polynomial q-_{i}: residual {defect}")
-    h = chop(Poly.make(field, sol))
     if xi == 0:
         # fix the integration constant: zero constant term in (h div q+_i)
         quot, _ = h.divmod(qp)

@@ -100,7 +100,8 @@ def random_bijection_case(rng: random.Random, rank: int, field):
                             wsets[j].append(w)
         part = bq.InfinitePartition.make(field, [[field(w) for w in ws] for ws in wsets])
         try:
-            if _partition_sources(inst, part)[1]:  # every root drawn from its own Z_j
+            anchors = _partition_sources(inst, part)[1]
+            if all(a is not None for color in anchors for a in color):  # every root drawn from its own Z_j
                 return inst, part
         except bq.BadPartition:
             pass

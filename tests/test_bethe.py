@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations, product
 
@@ -94,6 +95,29 @@ class TestNewton:
         out = bq.solve_newton(inst, start)
         assert out.roots[0][0] == start.roots[0][0]
 
+    def test_newton_keeps_the_input_order(self):
+        # the Newton core returns the roots in the order it was given;
+        # solve_newton orders once, canonically
+        from betheqq import bethe
+
+        inst = a1_two_points(N)
+        start = bq.BetheRoots.make(N, [[N([1, 1]), N([1, -1])]])
+        kept = bethe._newton(bethe._system(inst), start, None, None, True, None)
+        assert [w.imag > 0 for w in kept.roots[0]] == [True, False]
+        assert bq.solve_newton(inst, start, polish=True).roots == kept.canonical(N).roots
+        assert [w.imag > 0 for w in kept.canonical(N).roots[0]] == [False, True]
+
+    def test_polish_stops_at_the_precision_floor(self):
+        # a pool case whose polish ran 21 steps down to float underflow:
+        # past eps times max|xi| it stops
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N, [(Q(-18, 5), (1, 0)), (Q(-3, 20), (0, 1))],
+                                  [Q(21, 5), Q(-11, 20)])
+        log = []
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[], [Q(-3, 20)]]),
+                                     bq.SolveOptions(seed=14400), log=log)
+        assert bq.verify_bethe(inst, roots).ok
+        assert 0 < sum(1 for r in log if r["phase"] == "refine" and not r.get("converged")) <= 7
+
     def test_collision_init(self):
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])
         with pytest.raises(bq.PoleCollision):
@@ -179,6 +203,26 @@ class TestNewton:
         rep = bq.verify_bethe(inst, roots)
         assert rep.max_residual == max(abs(v) for v in rep.residuals.values())
 
+    def test_anchored_equations_agree(self):
+        # roots as offsets from the origin give the public residuals bit for
+        # bit; as offsets from marked points, the same residuals to 1e-70
+        from betheqq import bethe
+
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
+                                  [(0, (1, 0)), (3, (0, 1)), (N([1, 2]), (1, 1))], [Q(2, 3), Q(1, 5)])
+        roots = bq.BetheRoots.make(N, [[N("0.3"), N([-1, "0.25"])], [N([2, -1])]])
+        system = bethe._system(inst)
+        public = system.sweep(roots, jacobian=True)
+        origin = replace(system, anchors=((0, 0), (0,))).sweep(roots, jacobian=True)
+        assert public == origin
+        assert public[0] == list(bq.verify_bethe(inst, roots).residuals.values())
+        anchors = ((1, 3), (2,))
+        offsets = bq.BetheRoots(tuple(tuple(w - system.diff[a][0] for w, a in zip(color, ids))
+                                      for color, ids in zip(roots.roots, anchors)))
+        res, _, jac = replace(system, anchors=anchors).sweep(offsets, jacobian=True)
+        assert max(abs(a - b) for a, b in zip(res, public[0])) < 1e-70
+        assert max(abs(a - b) for r, s in zip(jac, public[2]) for a, b in zip(r, s)) < 1e-70
+
     def test_iteration_log(self):
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])
         log = []
@@ -258,8 +302,9 @@ class TestInfiniteSystem:
             bq.seed_and_continue(inst, part)
 
     def test_seeds_are_first_order(self, monkeypatch):
-        # each root of W_j starts at its marked point minus 1/xi_j of the top
-        # scale: the first corrector receives w - 1/xi_j in its coordinates
+        # each root of W_j starts at offset -1/xi_j of the top scale from its
+        # marked point: the first corrector receives u with u xi_j = -1, each
+        # root anchored at the point it is drawn from
         from betheqq import bethe
 
         calls, real = [], bethe._newton
@@ -274,8 +319,9 @@ class TestInfiniteSystem:
         roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [3]]), bq.SolveOptions(seed=3))
         assert bq.verify_bethe(inst, roots).ok
         system, seeds = calls[0]
-        for (w,), ((z, _),), xi in zip(seeds.roots, system.poles, system.xis):
-            assert abs((w - z) * xi + 1) < 1e-9  # a second-order term would be ~1e-3
+        assert system.anchors == ((1,), (2,))
+        for (u,), xi in zip(seeds.roots, system.xis):
+            assert abs(u * xi + 1) < 1e-9  # a second-order term would be ~1e-3
 
     def test_root_sourced_roots_only_in_cycles(self):
         # A2 over the points {0, 1, 9}, every assignment of them to colors (or
@@ -300,8 +346,11 @@ class TestInfiniteSystem:
                     continue
                 accepted += 1
                 from_points = all(colors[pts.index(w)] == j for j, ws in enumerate(w_sets, start=1) for w in ws)
-                assert _partition_sources(inst, part)[1] == from_points
-                if not from_points:
+                anchors = _partition_sources(inst, part)[1]
+                assert all(a is not None for color in anchors for a in color) == from_points
+                if from_points:  # each anchor is the root's own marked point
+                    assert tuple(tuple(inst.points[a - 1][0] for a in color) for color in anchors) == part.w_sets
+                else:
                     root_sourced += 1
                     with pytest.raises(bq.BadPartition, match="cyclic"):
                         bq.seed_and_continue(inst, part)
@@ -390,8 +439,8 @@ class TestContinuation:
     @pytest.mark.parametrize("d, expected", [("1e-4", ("-1.5919042", "6.7876497")),
                                              ("1e-9", ("-1.591905749", "6.787588697"))])
     def test_close_points_wide_spread(self, d, expected):
-        # points d apart against a unit spread; at 1e-9 the spread is too
-        # wide for machine floats and the path is tracked at 256 bits
+        # points d apart against a unit spread: the differences of the points
+        # are formed at 256 bits, so machine floats track the offsets
         d = N(d)
         inst = bq.QQInstance.make(bq.CartanType("A", 2), N, [(0, (1, 0)), (d, (0, 1)), (1, (1, 0))],
                                   [Q(2, 3), Q(1, 5)])
@@ -402,11 +451,13 @@ class TestContinuation:
             assert abs(color[0] - N(value)) < N.ctx.mpf("1e-6")
 
     def test_target_precision_only_refines(self, monkeypatch):
-        # the path is tracked at machine precision; the caller's 256 bits
-        # only see the final refinement, whose Newton directions come from
-        # Jacobians in machine floats: no 256-bit Jacobian or elimination, and
-        # at most 8 residual sweeps at 256 bits (quadratic 256-bit Newton
-        # needs 7, each step with a 256-bit Jacobian and elimination)
+        # the path is tracked at machine precision, also when the points
+        # spread far wider than their closest distance (the geometry of
+        # test_close_points_wide_spread); the caller's 256 bits only see the
+        # final refinement, whose Newton directions come from Jacobians in
+        # machine floats: no 256-bit Jacobian or elimination, and at most 8
+        # residual sweeps at 256 bits (quadratic 256-bit Newton needs 7, each
+        # step with a 256-bit Jacobian and elimination)
         import betheqq.bethe
 
         jacobian, sweep, eliminate = (betheqq.bethe.bethe_jacobian, betheqq.bethe._System.sweep,
@@ -431,13 +482,16 @@ class TestContinuation:
         monkeypatch.setattr(betheqq.bethe, "bethe_jacobian", counting_jacobian)
         monkeypatch.setattr(betheqq.bethe._System, "sweep", counting_sweep)
         monkeypatch.setattr(betheqq.bethe, "_gauss_jordan", counting_elimination)
-        inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
-                                  [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
-        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [3]]),
-                                     bq.SolveOptions(seed=3))
-        assert jacobians == []
-        assert 0 < len(residuals) <= 8
-        assert bq.verify_bethe(inst, roots).ok
+        cases = [([(0, (1, 0)), (3, (0, 1))], [[0], [3]], 3)]
+        cases += [([(0, (1, 0)), (N(d), (0, 1)), (1, (1, 0))], [[0], [N(d)]], 1) for d in ("1e-9", "1e-12")]
+        for points, w_sets, seed in cases:
+            jacobians.clear()
+            residuals.clear()
+            inst = bq.QQInstance.make(bq.CartanType("A", 2), N, points, [Q(2, 3), Q(1, 5)])
+            roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, w_sets), bq.SolveOptions(seed=seed))
+            assert jacobians == [], points
+            assert 0 < len(residuals) <= 8, points
+            assert bq.verify_bethe(inst, roots).ok
 
     def test_tracking_builds_no_instance(self, monkeypatch):
         # the path runs on the caller's Bethe equations, shifted, rescaled and

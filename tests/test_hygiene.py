@@ -1,5 +1,5 @@
 """Source hygiene: no library module imports a name it never uses, no
-module-level private helper is left without a use, and no defaulted
+module-level private helper or constant is left without a use, and no defaulted
 parameter of a library function is left without a caller that passes it."""
 
 import ast
@@ -47,20 +47,25 @@ def loaded_names(source: str) -> set:
 
 
 def dead_private_helpers(source: str, loaded: set) -> list:
-    """Module-level ``_private`` functions and classes of ``source`` whose
-    names are not in ``loaded``."""
-    defined = {n.name for n in ast.parse(source).body
-               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and n.name.startswith("_") and not n.name.startswith("__")}
-    return sorted(defined - loaded)
+    """Module-level ``_private`` functions, classes and constants of
+    ``source`` whose names are not in ``loaded``."""
+    names = []
+    for n in ast.parse(source).body:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(n.name)
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            names.extend(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    return sorted({x for x in names if x.startswith("_") and not x.startswith("__")} - loaded)
 
 
 def test_checker_flags_a_dead_private_helper():
     lib = ("def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n\n"
-           "def __getattr__(name):\n    pass\n\ndef public():\n    return _used()\n")
-    user = "import lib\nlib._Gone = None\nlib._via_attr = lib._dead\n"
-    assert dead_private_helpers(lib, loaded_names(lib)) == ["_Gone", "_dead"]
-    assert dead_private_helpers(lib, loaded_names(lib) | loaded_names(user)) == ["_Gone"]
+           "def __getattr__(name):\n    pass\n\ndef public():\n    return _used()\n\n"
+           "_LIMIT = 2\n_SPREAD: float = _LIMIT ** 2\n_A, (_B, c) = 1, (2, 3)\n__all__ = []\n")
+    user = "import lib\nlib._Gone = None\nlib._via_attr = lib._dead\nprint(lib._B)\n"
+    assert dead_private_helpers(lib, loaded_names(lib)) == ["_A", "_B", "_Gone", "_SPREAD", "_dead"]
+    assert dead_private_helpers(lib, loaded_names(lib) | loaded_names(user)) == ["_A", "_Gone", "_SPREAD"]
 
 
 @pytest.fixture(scope="module")

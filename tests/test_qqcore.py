@@ -140,6 +140,17 @@ class TestCompletion:
             bq.complete_minus(inst, [P(-1, 1)])  # root at +1 fails Bethe
         assert err.value.color == 1
 
+    def test_numeric_inconsistency_below_one(self):
+        # Lambda = 1e-80 z, xi = 1: the root 1/2 fails Bethe, and the best
+        # constant q- leaves a residual near 1e-80, negligible only against
+        # a scale floored at 1; against the equation's own scale it fails
+        num = bq.NumericField(256)
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), num, [(0, (1,))], [Q(1, 2)], lead=[num("1e-80")])
+        with pytest.raises(bq.InconsistentSystem):
+            bq.complete_minus(inst, [Poly.make(num, [num("-0.5"), 1])])
+        sol = bq.complete_minus(inst, [Poly.make(num, [1, 1])])  # the root -1 holds
+        assert bq.residuals_vanish(inst, sol)
+
     def test_integration_picture_cross_check(self):
         # d/dz (q-/q+) + xi q-/q+ == RHS/(q+)^2 as rational functions
         for inst, _, sol in (a1_standard(), a2_rational(), b2_rational(), g2_rational()):
