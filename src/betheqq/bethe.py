@@ -321,8 +321,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
     floor = field.zero if isinstance(field, ExactField) else field.ctx.eps * field.max_abs(system.xis)
-    rng = random.Random(opts.seed)
-    damps = [field(d) for d in _DAMPING]
+    rng = None  # the retry noise, seeded at the first retry
 
     def directions(rts, res, jac):  # jac: the field's Jacobian at rts, if formed
         """``(jacobian precision, direction)`` in the order they are tried."""
@@ -340,7 +339,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
         or None; past the tolerance only a full step that halves the max."""
         flat = rts.flat()
         for prec, delta in directions(rts, res, jac):
-            for alpha in [field(1)] if converged else damps:
+            for alpha in map(field, _DAMPING[:1] if converged else _DAMPING):
                 trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
                 try:
                     tres, tworst, _ = system.sweep(trial)
@@ -384,7 +383,7 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
         except SingularJacobian:
             if attempt == 3 or isinstance(field, ExactField):
                 raise
-            noise = tol * 10
+            noise, rng = tol * 10, rng or random.Random(opts.seed)
             jitter = []
             for w in current.flat():
                 re = field((2 * rng.random() - 1)) * noise
@@ -430,10 +429,8 @@ def _partition_sources(inst: QQInstance, part: InfinitePartition) -> tuple:
             raise BadPartition(f"Lambda_{i + 1} has a multiple root; squarefree mode requires exponents <= 1")
     own = [[k for k, (_, exps) in enumerate(inst.points, start=1) if exps[i] == 1] for i in range(inst.rank)]
     z_sets = [[inst.points[k - 1][0] for k in ks] for ks in own]
-    for i in range(inst.rank):
-        for j in range(i + 1, inst.rank):
-            if any(_near(field, z, z_sets[j]) is not None for z in z_sets[i]):
-                raise BadPartition(f"Z_{i + 1} and Z_{j + 1} share a point")
+    if any(sum(exps) > 1 for _, exps in inst.points):  # marked points are distinct under ``_near``
+        raise BadPartition("two of the Z_j share a marked point")
     if len(part.w_sets) != inst.rank:
         raise BadPartition("partition needs one W set per color")
     rests, anchors = [], []
@@ -480,13 +477,16 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     Its offset u = w - z_a is seeded to first order, ``-1/xi_j`` at twist
     scale ``t_top``, and tracked along the seeded complex detour
     ``t(s) = t_top^(1-s) exp(i bump s(1-s))``, s from 0 to 1.  Each step
-    predicts along the Euler tangent ``du/ds = -J^-1 (dF/dt)(dt/ds)``,
-    changing no gap of the equations by more than itself, and corrects with
-    at most three Newton iterations to the machine ``tau_root`` relative to
-    the twist.  The step starts at ``1 / (opts.continuation - 1)``, doubles
-    after an accepted step and halves after a rejected one; below
-    ``_MIN_STEP`` the corrector's last failure is raised (a collision as
-    ``PathCollision``).  The path runs in machine floats on the caller's
+    predicts v = t u linearly, in the frame that moves with 1/t, exact where
+    u = -1/(xi_j t): ``u(s+h) = (u + h (u' + u dlog)) t(s) / t(s+h)`` with
+    ``dlog = (dt/ds) / t`` and the Euler tangent ``u' = -J^-1 (dF/dt)(dt/ds)``.
+    No gap of the equations may change by more than itself in that frame (a
+    predicted gap times t(s+h) / t(s) against the gap before the step).  It
+    corrects with at most three Newton iterations to the machine ``tau_root``
+    relative to the twist.  The step starts at ``1 / (opts.continuation -
+    1)``, doubles after an accepted step and halves after a rejected one;
+    below ``_MIN_STEP`` the corrector's last failure is raised (a collision
+    as ``PathCollision``).  The path runs in machine floats on the caller's
     equations, rescaled and coerced once after the differences of the
     points are formed in the caller's field, from ``t_top = tau_root^(-1/2)
     / sigma``, sigma = min(1, min|xi| * spacing); ``_System.at_scale`` gives
@@ -552,31 +552,33 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             at = at_scale(t, k)
         tol = _MACH.tau_root * max(_MACH.tau_root, lo * abs(t) / k)
         return _newton(at, roots, replace(step_opts, tolerance=tol), log, False,
-                       {"phase": "track", "s": s, "h": h, "k": float(k)}), k
+                       {"phase": "track", "s": s, "h": h, "k": float(k)}), k, at
 
     try:
         top = at_scale(scale(0.0), 1).xis
         seeds = BetheRoots(tuple(tuple(-1 / xi for _ in color) for color, xi in zip(anchors, top)))
-        roots, k = correct(seeds, 1, 0.0, 0.0, opts)
+        roots, k, at = correct(seeds, 1, 0.0, 0.0, opts)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
                 raise failure or PathCollision(f"continuation step below {_MIN_STEP} at s = {s}")
             if tangent is None:
-                # Euler predictor: F(u, t(s)) = 0 with dF_i/dt = xi_i / t at scale t
-                at = at_scale(scale(s), k)
+                # F(u, t(s)) = 0 with dF_i/dt = xi_i / t at scale t (``at``, from ``correct``)
                 dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
                 rhs = [-xi * dlog for xi, color in zip(at.xis, roots.roots) for _ in color]
                 tangent = _newton_direction(_MACH, at.sweep(roots, residual=False, jacobian=True)[2], rhs)
                 gaps = list(at.gaps(roots.roots))
+            # v = t u linearly in s: u(nxt) = (u + h (u' + u dlog)) t(s) / t(nxt)
             nxt = min(1.0, s + h)
-            pred = roots.replace_flat([u + (nxt - s) * d for u, d in zip(roots.flat(), tangent)])
-            # no gap may change by more than itself: guards against path jumping
-            if any(abs(g - g0) > abs(g0) for g, g0 in zip(at.gaps(pred.roots), gaps)):
+            ratio = scale(s) / scale(nxt)
+            pred = roots.replace_flat([(u + (nxt - s) * (d + u * dlog)) * ratio
+                                       for u, d in zip(roots.flat(), tangent)])
+            # no gap may change by more than itself in that frame: guards against path jumping
+            if any(abs(g / ratio - g0) > abs(g0) for g, g0 in zip(at.gaps(pred.roots), gaps)):
                 h /= 2
                 continue
             try:
-                roots, k = correct(pred, k, nxt, h, inner)
+                roots, k, at = correct(pred, k, nxt, h, inner)
                 s, h, tangent, failure = nxt, 2 * h, None, None
             except (NoConvergence, SingularJacobian, PoleCollision) as exc:
                 h, failure = h / 2, exc

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InconsistentSystem, UnsupportedType
-from .polyalg import Poly, chop, coprime_check, distinct_roots_check, solve_linear_system
+from .polyalg import Poly, _near, chop, coprime_check, distinct_roots_check, solve_linear_system
 from .polyalg import wronskian as wr
 from .rootsys import CartanMatrix, CartanType, Twist, cartan_matrix, pairings, twist_from_pairings
 from .scalars import Field
@@ -52,10 +52,8 @@ class QQInstance:
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
             pts.append((field(z), exps))
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if field.eq(pts[a][0], pts[b][0]):
-                    raise ValueError("marked points must be pairwise distinct")
+        if any(_near(field, z, [p for p, _ in pts[a + 1:]]) is not None for a, (z, _) in enumerate(pts)):
+            raise ValueError("marked points must be pairwise distinct, more than tau_root apart")
         tw = Twist.make(field, twist)
         if tw.rank != r:
             raise ValueError(f"twist needs {r} coordinates")
@@ -187,17 +185,18 @@ def qq_residual_scale(inst: QQInstance, sol: QQSolution, i: int):
     return max(t.norm() for t in _qq_terms(inst, sol, i))
 
 
+def _terms_hold(field: Field, terms: tuple, res: Poly | None = None) -> bool:
+    """Whether W + x - rhs of ``terms`` (``_qq_terms``), or its given value
+    ``res``, is zero or negligible against the largest term."""
+    w, x, rhs = terms
+    res = w + x - rhs if res is None else res
+    return res.is_zero or field.is_zero(res.norm(), scale=max(t.norm() for t in terms))
+
+
 def equation_holds(inst: QQInstance, sol: QQSolution, i: int, res: Poly | None = None) -> bool:
     """Whether the i-th equation holds: its residual ``res`` (computed when
     not given) is zero, or negligible against the equation's scale."""
-    terms = None
-    if res is None:
-        w, x, rhs = terms = _qq_terms(inst, sol, i)
-        res = w + x - rhs
-    if res.is_zero:
-        return True
-    terms = terms or _qq_terms(inst, sol, i)
-    return inst.field.is_zero(res.norm(), scale=max(t.norm() for t in terms))
+    return (res is not None and res.is_zero) or _terms_hold(inst.field, _qq_terms(inst, sol, i), res)
 
 
 def residuals_vanish(inst: QQInstance, sol: QQSolution) -> bool:
@@ -261,8 +260,7 @@ def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None
     b = [rhs.coeff(m) for m in range(rows_len)]
     sol, defect = solve_linear_system(field, rows, b)
     h = None if sol is None else chop(Poly.make(field, sol))
-    # equation i reads only q-_i of the trial solution
-    if h is None or not equation_holds(inst, QQSolution.make(q_plus, [h] * inst.rank), i):
+    if h is None or not _terms_hold(field, (wr(qp, h), (qp * h).scale(xi), rhs)):
         raise InconsistentSystem(i, f"no polynomial q-_{i}: residual {defect}")
     if xi == 0:
         # fix the integration constant: zero constant term in (h div q+_i)

@@ -521,6 +521,41 @@ class TestContinuation:
                              bq.SolveOptions(seed=3), log=log)
         assert 0 < sum(1 for r in log if not r.get("converged")) <= 96
 
+    def test_exact_path_needs_no_newton(self):
+        # one point and one root: u = -1/(xi t) exactly, which the predictor
+        # for t u extrapolates without error, so every correction converges
+        # at its first residual
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(Q(1, 3), (1,))], [Q(7, 5)])
+        log = []
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[Q(1, 3)]]),
+                                     bq.SolveOptions(seed=1), log=log)
+        track = [r for r in log if r["phase"] == "track"]
+        assert track and all(r.get("converged") for r in track)
+        assert abs(roots.roots[0][0] - (N(Q(1, 3)) - 1 / inst.xi(1))) <= N.tau
+
+    def test_tracking_work_on_criterion_2(self):
+        # the criterion-2 cases take 931 tracking Newton iterations with the
+        # predictor in the frame that moves with 1/t (2520 with u extrapolated
+        # linearly in s); a count, so it does not depend on the host
+        iterations = 0
+        for t in range(100):
+            inst, part = random_bijection_case(random.Random(9000 + t), t % 3 + 1, N)
+            log = []
+            bq.seed_and_continue(inst, part, bq.SolveOptions(seed=t), log=log)
+            iterations += sum(1 for r in log if r["phase"] == "track" and not r.get("converged"))
+        assert iterations <= 1100
+
+    def test_points_closer_than_tau_root(self):
+        # marked points coincide under the rule the partition check uses:
+        # 1e-30 apart at 256 bits (tau_root 2^-80) is refused when the
+        # instance is built, 1e-20 apart builds and solves
+        points = [(0, (1,)), (N("1e-30"), (1,))]
+        with pytest.raises(ValueError, match="distinct"):
+            bq.QQInstance.make(bq.CartanType("A", 1), N, points, [Q(1, 2)])
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,)), (N("1e-20"), (1,))], [Q(1, 2)])
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[N("1e-20")]]), bq.SolveOptions(seed=1))
+        assert bq.verify_bethe(inst, roots).ok
+
     def test_initial_step_does_not_move_the_answer(self):
         # --steps only sets the first step; 8 and 256 land on the same roots
         found = []

@@ -199,6 +199,16 @@ class TestCliSolve:
         assert main(["solve", ipath, ppath]) == 3
         assert "solver failed" in capsys.readouterr().err
 
+    def test_points_closer_than_tau_root_exit_2(self, tmp_path, capsys):
+        # points 0 and 1e-30 at 256 bits are one point for the partition
+        # check, so the instance is refused when it is read
+        doc = {"backend": "numeric", "precision_bits": 256, "cartan": {"family": "A", "rank": 1},
+               "points": [{"z": "0", "weights": [1]}, {"z": "1e-30", "weights": [1]}], "twist": ["1/2"]}
+        ipath = _write(tmp_path, "i.json", doc)
+        ppath = _write(tmp_path, "p.json", {"partition": [["1e-30"]]})
+        assert main(["solve", ipath, ppath]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_partition_is_input_error_or_checkfail(self, tmp_path, capsys):
         N = bq.NumericField(256)
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
