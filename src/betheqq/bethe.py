@@ -65,14 +65,12 @@ class BetheRoots:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    max_iterations: int = 50
-    tolerance: object = None  # default: the field's tau
     continuation: int = 64
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.continuation <= 0:
-            raise ValueError("iteration and continuation counts must be positive")
+        if self.continuation <= 0:
+            raise ValueError("the continuation count must be positive")
 
 
 def _collision_guard(field: Field, denom, where: str, *at):
@@ -249,6 +247,7 @@ def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
 _STEP_CAP = 2 ** 10
 _MIN_STEP = 2.0 ** -30  #: the smallest continuation step in the path parameter s
 _DAMPING = ("1", "1/2", "1/4", "1/8", "1/16")  #: the damped step lengths Newton tries, in order
+_ITERATIONS = 50  #: the most Newton steps of ``solve_newton`` and of a first continuation correction
 _MACH = MachineField()
 #: the widest ratio of magnitude to distance that machine floats resolve to
 #: about half their digits: ``solve_newton`` takes full-precision directions
@@ -287,41 +286,38 @@ def _machine_direction(machine: _System, rts: BetheRoots, res: list) -> list:
     return delta
 
 
-def solve_newton(inst: QQInstance, init: BetheRoots, opts: SolveOptions | None = None,
-                 log: list | None = None, *, polish: bool = False,
+def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
                  context: dict | None = None) -> BetheRoots:
-    """Damped Newton iteration on the stacked Bethe residuals.
+    """Damped Newton iteration on the stacked Bethe residuals, polished.
 
-    Deterministic for a fixed (instance, init, options): the retry policy on
-    a singular Jacobian perturbs all roots by seeded noise of magnitude
-    10x tolerance, at most three times; a step longer than ``_STEP_CAP``
-    times 1 + max|w| counts as singular.  With ``polish``, full steps go on
-    past the tolerance while each at least halves the max residual.
+    Deterministic for a fixed (instance, init).  Once the max residual is
+    at most the field's tau, full steps go on while each at least halves it,
+    down to the precision floor, eps times max |xi_i|.  A step longer than
+    ``_STEP_CAP`` times 1 + max|w| counts as singular (``SingularJacobian``).
 
     On a numeric field wider than 53 bits, residuals keep its precision but
     directions come from the Jacobian in machine floats: iterative
-    refinement, about 15 digits per step (``max_iterations`` counts these
-    steps).  The iteration falls back to the full-precision direction when
-    the machine one is singular, not finite or too long, or when no damped
-    step along it is accepted before convergence; past the tolerance a
-    machine step that fails to halve the residual ends the polish, and so
-    does a max residual at the precision floor, eps times max |xi_i|.  The
-    roots come back in the canonical order (``BetheRoots.canonical``).
-    Log records carry ``context``, the retry ``"attempt"`` and the
-    ``"jacobian_precision"`` of the step's direction (53: machine floats).
+    refinement, about 15 digits per step (``_ITERATIONS`` caps these steps).
+    The iteration falls back to the full-precision direction when the
+    machine one is singular, not finite or too long, or when no damped step
+    along it is accepted before convergence; past the tolerance a machine
+    step that fails to halve the residual ends the polish.  The roots come
+    back in the canonical order (``BetheRoots.canonical``).  Log records
+    carry ``context`` and the ``"jacobian_precision"`` of the step's
+    direction (53: machine floats).
     """
-    return _newton(_system(inst), init, opts, log, polish, context).canonical(inst.field)
+    field = inst.field
+    return _newton(_system(inst), init, field.tau, _ITERATIONS, log, True, context).canonical(field)
 
 
-def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: list | None,
+def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list | None,
             polish: bool, context: dict | None) -> BetheRoots:
-    """``solve_newton`` on the equations ``system``, keeping the order of ``init``."""
-    opts = opts or SolveOptions()
+    """Newton on the equations ``system`` to the max residual ``tol``, at
+    most ``iterations`` steps, keeping the order of ``init``; ``polish`` as
+    ``solve_newton`` polishes."""
     field = system.field
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
-    tol = field.abs(field(opts.tolerance) if opts.tolerance is not None else field.tau)
     floor = field.zero if isinstance(field, ExactField) else field.ctx.eps * field.max_abs(system.xis)
-    rng = None  # the retry noise, seeded at the first retry
 
     def directions(rts, res, jac):  # jac: the field's Jacobian at rts, if formed
         """``(jacobian precision, direction)`` in the order they are tried."""
@@ -351,46 +347,31 @@ def _newton(system: _System, init: BetheRoots, opts: SolveOptions | None, log: l
                 return None
         return None
 
-    def record(it, worst, alpha, prec, attempt, **extra):
+    def record(it, worst, alpha, prec, **extra):
         if log is not None:
             log.append({"step": it, "max_residual": residual_repr(field, worst), "damping": float(alpha),
-                        "precision": field.precision, "jacobian_precision": prec, "attempt": attempt,
-                        **extra, **(context or {})})
+                        "precision": field.precision, "jacobian_precision": prec, **extra, **(context or {})})
 
-    current = init
-    if current.total() == 0:
-        return current
-    for attempt in range(4):
-        try:
-            rts, prec = current, field.precision
-            # without machine directions the first step needs the Jacobian here: one sweep
-            res, worst, jac = system.sweep(rts, jacobian=machine is None)
-            for it in range(opts.max_iterations + 1):
-                converged = worst <= tol
-                if converged and (not polish or worst <= floor) or it == opts.max_iterations:
-                    break
-                taken, jac = step(rts, res, worst, jac, converged), None
-                if taken is None:
-                    if converged:
-                        break
-                    raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
-                rts, res, worst, alpha, prec = taken
-                record(it, worst, alpha, prec, attempt)
-            if worst > tol:
-                raise NoConvergence(f"residual {worst} after {opts.max_iterations} iterations")
-            record(it, worst, 1, prec, attempt, converged=True)
-            return rts
-        except SingularJacobian:
-            if attempt == 3 or isinstance(field, ExactField):
-                raise
-            noise, rng = tol * 10, rng or random.Random(opts.seed)
-            jitter = []
-            for w in current.flat():
-                re = field((2 * rng.random() - 1)) * noise
-                im = field((2 * rng.random() - 1)) * noise
-                jitter.append(w + re + im * field([0, 1]))
-            current = current.replace_flat(jitter)
-    raise SingularJacobian("retry policy exhausted")
+    rts, prec = init, field.precision
+    if rts.total() == 0:
+        return rts
+    # without machine directions the first step needs the Jacobian here: one sweep
+    res, worst, jac = system.sweep(rts, jacobian=machine is None)
+    for it in range(iterations + 1):
+        converged = worst <= tol
+        if converged and (not polish or worst <= floor) or it == iterations:
+            break
+        taken, jac = step(rts, res, worst, jac, converged), None
+        if taken is None:
+            if converged:
+                break
+            raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
+        rts, res, worst, alpha, prec = taken
+        record(it, worst, alpha, prec)
+    if worst > tol:
+        raise NoConvergence(f"residual {worst} after {iterations} iterations")
+    record(it, worst, 1, prec, converged=True)
+    return rts
 
 
 # -- infinite qq-system ------------------------------------------------------
@@ -482,11 +463,11 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     ``dlog = (dt/ds) / t`` and the Euler tangent ``u' = -J^-1 (dF/dt)(dt/ds)``.
     No gap of the equations may change by more than itself in that frame (a
     predicted gap times t(s+h) / t(s) against the gap before the step).  It
-    corrects with at most three Newton iterations to the machine ``tau_root``
-    relative to the twist.  The step starts at ``1 / (opts.continuation -
-    1)``, doubles after an accepted step and halves after a rejected one;
-    below ``_MIN_STEP`` the corrector's last failure is raised (a collision
-    as ``PathCollision``).  The path runs in machine floats on the caller's
+    corrects with at most three Newton iterations (``_ITERATIONS`` at the
+    seeds) to the machine ``tau_root`` relative to the twist.  The step
+    starts at ``1 / (opts.continuation - 1)``, doubles after an accepted
+    step and halves after a rejected one; below ``_MIN_STEP`` the
+    corrector's last failure is raised (a collision as ``PathCollision``).  The path runs in machine floats on the caller's
     equations, rescaled and coerced once after the differences of the
     points are formed in the caller's field, from ``t_top = tau_root^(-1/2)
     / sigma``, sigma = min(1, min|xi| * spacing); ``_System.at_scale`` gives
@@ -529,7 +510,6 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     # the real discriminant locus where tracked roots would collide
     rng = random.Random(f"{opts.seed}-gamma")
     bump = rng.uniform(0.8, 2.4) * (1 if rng.random() < 0.5 else -1)
-    inner = replace(opts, max_iterations=min(3, opts.max_iterations))
     lo = min(abs(x) for x in tracked.at_scale(zeta, 1).xis)
 
     def scale(s):
@@ -539,7 +519,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         """The tracked equations at twist scale t, in coordinates multiplied by k."""
         return tracked.at_scale(tuple(z * t / k for z in zeta), k)
 
-    def correct(roots, k, s, h, step_opts):
+    def correct(roots, k, s, h, iterations):
         # keep the closest gap that may not vanish within [1/16, 16] by
         # rescaling it to 1, then correct to the machine tau_root relative
         # to the smallest |xi| at this scale (at least tau_root^2)
@@ -551,13 +531,13 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             k = k / gap
             at = at_scale(t, k)
         tol = _MACH.tau_root * max(_MACH.tau_root, lo * abs(t) / k)
-        return _newton(at, roots, replace(step_opts, tolerance=tol), log, False,
+        return _newton(at, roots, tol, iterations, log, False,
                        {"phase": "track", "s": s, "h": h, "k": float(k)}), k, at
 
     try:
         top = at_scale(scale(0.0), 1).xis
         seeds = BetheRoots(tuple(tuple(-1 / xi for _ in color) for color, xi in zip(anchors, top)))
-        roots, k, at = correct(seeds, 1, 0.0, 0.0, opts)
+        roots, k, at = correct(seeds, 1, 0.0, 0.0, _ITERATIONS)
         s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
@@ -578,14 +558,14 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                 h /= 2
                 continue
             try:
-                roots, k, at = correct(pred, k, nxt, h, inner)
+                roots, k, at = correct(pred, k, nxt, h, 3)
                 s, h, tangent, failure = nxt, 2 * h, None, None
             except (NoConvergence, SingularJacobian, PoleCollision) as exc:
                 h, failure = h / 2, exc
-        # one refinement in the caller's field under the caller's options
+        # one refinement in the caller's field
         roots = BetheRoots(tuple(tuple(system.diff[a][0] + field(u) / (c * k) for u, a in zip(color, ids))
                                  for color, ids in zip(roots.roots, anchors)))
-        return solve_newton(inst, roots, opts, log=log, polish=True, context={"phase": "refine"})
+        return solve_newton(inst, roots, log, context={"phase": "refine"})
     except PoleCollision as exc:
         raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
 

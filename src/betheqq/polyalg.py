@@ -69,7 +69,7 @@ class Poly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.field.eq(self.lc(), self.field.one)
+        return bool(self.coeffs) and self.field.is_zero(self.lc() - self.field.one)
 
     def norm(self):
         """Max coefficient magnitude (0 for the zero polynomial)."""

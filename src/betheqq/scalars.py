@@ -119,9 +119,6 @@ class ExactField(_Magnitudes):
     def is_zero(self, x, scale=None) -> bool:
         return x == 0
 
-    def eq(self, x, y) -> bool:
-        return x == y
-
     def abs(self, x) -> Fraction:
         return abs(x)
 
@@ -158,6 +155,8 @@ class NumericField(_Magnitudes):
         self.tau_root = (
             ctx.mpf(tau_root) if tau_root is not None else ctx.mpf(2) ** -((5 * precision) // 16)
         )
+        if not (self.tau > 0 and self.tau_root > 0):
+            raise ValueError("tolerances tau and tau_root must be positive")
         self.zero = ctx.mpc(0)
         self.one = ctx.mpc(1)
 
@@ -192,9 +191,6 @@ class NumericField(_Magnitudes):
     def is_zero(self, x, scale=None) -> bool:
         """|x| <= tau |scale|, relative with no floor (tau without a scale)."""
         return abs(x) <= self.tau * (1 if scale is None else abs(scale))
-
-    def eq(self, x, y) -> bool:
-        return abs(x - y) <= self.tau * max(self.ctx.mpf(1), abs(x), abs(y))
 
     def abs(self, x):
         return abs(x)

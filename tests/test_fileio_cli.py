@@ -407,6 +407,34 @@ class TestCliInputErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("input error: ")
 
+    @pytest.mark.parametrize("case", ["roots-one-color", "instance-list", "solution-list", "start-list",
+                                      "tol-zero", "tol-negative", "tau-root-negative"])
+    def test_malformed_input_exits_2(self, case, tmp_path, capsys):
+        # a start file with too few colors, a document that is not a JSON
+        # object and a tolerance that is not positive are input errors
+        N = bq.NumericField(256)
+        inst, _, sol = a2_rational(N)
+        doc = fileio.instance_to_doc(inst)
+        if case == "tau-root-negative":
+            doc["tolerances"] = {"tau_root": "-1"}
+        ipath = _write(tmp_path, "a2.json", doc)
+        spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
+        start = _write(tmp_path, "start.json", {"partition": [["0"], []]})
+        listed = _write(tmp_path, "list.json", [1, 2])
+        argv = {"roots-one-color": ["solve", ipath, _write(tmp_path, "r.json", {"roots": [["0.1"]]})],
+                "instance-list": ["verify", listed, spath],
+                "solution-list": ["verify", ipath, listed],
+                "start-list": ["solve", ipath, listed],
+                "tol-zero": ["solve", ipath, start, "--tol", "0"],
+                "tol-negative": ["solve", ipath, start, "--tol", "-1"],
+                "tau-root-negative": ["solve", ipath, start]}[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ")
+        assert ("must be positive" in line) == case.startswith(("tol", "tau"))
+
 
 class TestDeterminism:
     def test_reports_stable_modulo_walltime(self, a1_files, capsys):
@@ -445,6 +473,20 @@ class TestDeterminism:
             runs.append((code, out, captured.err))
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
+
+    def test_report_check_names_are_unique(self, tmp_path, capsys):
+        # every check of a solve or verify report has its own name
+        N = bq.NumericField(256)
+        a2, _, a2_sol = a2_rational(N)
+        ipath = _write(tmp_path, "a2.json", fileio.instance_to_doc(a2))
+        a1 = _write(tmp_path, "a1.json", fileio.instance_to_doc(
+            bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,))], [Q(1, 2)])))
+        for argv in (["verify", ipath, _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, a2_sol))],
+                     ["solve", ipath, _write(tmp_path, "p.json", {"partition": [["0"], []]})],
+                     ["solve", a1, _write(tmp_path, "r.json", {"roots": [["-0.9"]]})]):
+            assert main(argv) == 0
+            names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+            assert "bethe_residuals" in names and len(names) == len(set(names)), argv
 
     def test_verify_out_holds_the_report(self, a1_files, capsys):
         ipath, spath, *_, tmp_path = a1_files

@@ -71,3 +71,9 @@ def test_zero_is_relative_to_scale():
     assert field.is_zero(two ** -161) and not field.is_zero(two ** -159)
     assert field.is_zero(two ** -361, scale=two ** -200) and not field.is_zero(two ** -300, scale=two ** -200)
     assert field.is_zero(two ** 39, scale=two ** 200) and not field.is_zero(two ** 41, scale=two ** 200)
+
+
+@pytest.mark.parametrize("tols", [{"tau": 0}, {"tau": "-1"}, {"tau_root": "-1e-10"}, {"tau_root": "nan"}])
+def test_tolerances_must_be_positive(tols):
+    with pytest.raises(ValueError):
+        bq.NumericField(256, **tols)
