@@ -46,7 +46,7 @@ n_ipath.write_text(json.dumps(fileio.instance_to_doc(ninst)))
 (work / "n.partition.json").write_text(json.dumps({"partition": [["2"]]}))
 print("\nbetheqq solve (continuation from the infinite system) ->",
       main(["solve", str(n_ipath), str(work / 'n.partition.json'),
-            "--out", str(work / "n.solution.json"), "--steps", "24"]))
+            "--out", str(work / "n.solution.json")]))
 print("\nsolution file written:", (work / "n.solution.json").exists())
 
 print("\nchain along the word '1' ->",

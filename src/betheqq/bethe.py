@@ -55,6 +55,12 @@ class BetheRoots:
     def flat(self) -> list:
         return [w for color in self.roots for w in color]
 
+    def _matching(self, inst: QQInstance) -> "BetheRoots":
+        """These roots; ValueError unless they have one root set per color of ``inst``."""
+        if self.rank != inst.rank:
+            raise ValueError(f"the instance has {inst.rank} colors, the roots {self.rank}")
+        return self
+
     def replace_flat(self, values: Sequence) -> "BetheRoots":
         out, pos = [], 0
         for color in self.roots:
@@ -65,12 +71,7 @@ class BetheRoots:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    continuation: int = 64
     seed: int = 0
-
-    def __post_init__(self):
-        if self.continuation <= 0:
-            raise ValueError("the continuation count must be positive")
 
 
 def _collision_guard(field: Field, denom, where: str, *at):
@@ -190,14 +191,16 @@ class _System:
         return (res, self.field.max_abs(res), jac) if residual else (None, None, jac)
 
 
-def _system(inst: QQInstance) -> _System:
-    """``_System.of(inst)``, built once and kept on the instance."""
+def _system(inst: QQInstance, roots: BetheRoots | None = None) -> _System:
+    """``_System.of(inst)``, built once and kept on the instance, for ``roots`` if given (``_matching``)."""
+    if roots is not None:
+        roots._matching(inst)
     return vars(inst).get("_bethe") or vars(inst).setdefault("_bethe", _System.of(inst))
 
 
 def bethe_residual(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
     """The (i, ell)-th residual as an explicit sum over poles."""
-    return _system(inst).equation(roots.roots, i - 1, ell - 1)
+    return _system(inst, roots).equation(roots.roots, i - 1, ell - 1)
 
 
 def bethe_residual_log_form(inst: QQInstance, roots: BetheRoots, i: int, ell: int):
@@ -232,14 +235,14 @@ class BetheReport:
 def verify_bethe(inst: QQInstance, roots: BetheRoots) -> BetheReport:
     """Max |residual| over all equations; pass iff at most the field's tau."""
     tol = inst.field.tau
-    res, worst, _ = _system(inst).sweep(roots)
+    res, worst, _ = _system(inst, roots).sweep(roots)
     labels = [(i, ell) for i, color in enumerate(roots.roots, start=1) for ell in range(1, len(color) + 1)]
     return BetheReport(worst, dict(zip(labels, res)), tol, worst <= tol)
 
 
 def bethe_jacobian(inst: QQInstance, roots: BetheRoots) -> list:
     """Analytic Jacobian of the stacked residual vector in the flat root order."""
-    return _system(inst).sweep(roots, residual=False, jacobian=True)[2]
+    return _system(inst, roots).sweep(roots, residual=False, jacobian=True)[2]
 
 
 #: a Newton step longer than this many times 1 + max|w| counts as singular: it
@@ -307,7 +310,7 @@ def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
     direction (53: machine floats).
     """
     field = inst.field
-    return _newton(_system(inst), init, field.tau, _ITERATIONS, log, True, context).canonical(field)
+    return _newton(_system(inst, init), init, field.tau, _ITERATIONS, log, True, context).canonical(field)
 
 
 def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list | None,
@@ -464,19 +467,19 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     No gap of the equations may change by more than itself in that frame (a
     predicted gap times t(s+h) / t(s) against the gap before the step).  It
     corrects with at most three Newton iterations (``_ITERATIONS`` at the
-    seeds) to the machine ``tau_root`` relative to the twist.  The step
-    starts at ``1 / (opts.continuation - 1)``, doubles after an accepted
-    step and halves after a rejected one; below ``_MIN_STEP`` the
-    corrector's last failure is raised (a collision as ``PathCollision``).  The path runs in machine floats on the caller's
-    equations, rescaled and coerced once after the differences of the
-    points are formed in the caller's field, from ``t_top = tau_root^(-1/2)
-    / sigma``, sigma = min(1, min|xi| * spacing); ``_System.at_scale`` gives
-    each scale's equations.  The roots ``z_a + u / (c k)`` are refined once
-    in the caller's field to its precision floor (``solve_newton``).  Log
-    records carry ``"phase"`` (``"track"`` or ``"refine"``); tracking records
+    seeds) to the machine ``tau_root`` relative to the twist.  The first step
+    is the whole path, h = 1; h doubles after an accepted step and halves
+    after a rejected one; below ``_MIN_STEP`` the corrector's last failure
+    is raised (a collision as ``PathCollision``).  The path runs in machine
+    floats on the caller's equations, rescaled and coerced once after the
+    differences of the points are formed in the caller's field, from
+    ``t_top = tau_root^(-1/2) / sigma``, sigma = min(1, min|xi| * spacing).
+    At s = 1 the roots are polished there as ``solve_newton`` polishes, and
+    ``z_a + u / (c k)`` is refined in the caller's field (``solve_newton``).
+    Log records carry ``"phase"``: ``"track"``, or ``"refine"`` at
+    ``"precision"`` 53 (the polish) and then the caller's; tracking records
     also carry ``"s"``, the step ``"h"`` and the coordinate scale ``"k"``.
     """
-    opts = opts or SolveOptions()
     field = inst.field
     if isinstance(field, ExactField):
         raise NoConvergence("continuation requires the numeric backend")
@@ -508,7 +511,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     t_top = _MACH.tau_root ** -0.5 / float(sigma)
     # detour the scale through the complex plane (seeded), so the path avoids
     # the real discriminant locus where tracked roots would collide
-    rng = random.Random(f"{opts.seed}-gamma")
+    rng = random.Random(f"{(opts or SolveOptions()).seed}-gamma")
     bump = rng.uniform(0.8, 2.4) * (1 if rng.random() < 0.5 else -1)
     lo = min(abs(x) for x in tracked.at_scale(zeta, 1).xis)
 
@@ -531,14 +534,16 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             k = k / gap
             at = at_scale(t, k)
         tol = _MACH.tau_root * max(_MACH.tau_root, lo * abs(t) / k)
-        return _newton(at, roots, tol, iterations, log, False,
-                       {"phase": "track", "s": s, "h": h, "k": float(k)}), k, at
+        roots = _newton(at, roots, tol, iterations, log, False, {"phase": "track", "s": s, "h": h, "k": float(k)})
+        if s == 1:  # polish the endpoint in machine floats, so the refinement starts near their floor
+            roots = _newton(at, roots, tol, _ITERATIONS, log, True, {"phase": "refine"})
+        return roots, k, at
 
     try:
         top = at_scale(scale(0.0), 1).xis
         seeds = BetheRoots(tuple(tuple(-1 / xi for _ in color) for color, xi in zip(anchors, top)))
         roots, k, at = correct(seeds, 1, 0.0, 0.0, _ITERATIONS)
-        s, h, tangent, failure = 0.0, max(_MIN_STEP, 1 / max(1, opts.continuation - 1)), None, None
+        s, h, tangent, failure = 0.0, 1.0, None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
                 raise failure or PathCollision(f"continuation step below {_MIN_STEP} at s = {s}")
@@ -562,7 +567,6 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                 s, h, tangent, failure = nxt, 2 * h, None, None
             except (NoConvergence, SingularJacobian, PoleCollision) as exc:
                 h, failure = h / 2, exc
-        # one refinement in the caller's field
         roots = BetheRoots(tuple(tuple(system.diff[a][0] + field(u) / (c * k) for u, a in zip(color, ids))
                                  for color, ids in zip(roots.roots, anchors)))
         return solve_newton(inst, roots, log, context={"phase": "refine"})
@@ -575,5 +579,5 @@ def roots_to_solution(inst: QQInstance, roots: BetheRoots) -> QQSolution:
     from .qqcore import complete_minus
 
     field = inst.field
-    q_plus = [poly_from_roots(field, color) for color in roots.roots]
+    q_plus = [poly_from_roots(field, color) for color in roots._matching(inst).roots]
     return complete_minus(inst, q_plus)

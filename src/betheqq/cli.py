@@ -137,14 +137,11 @@ def cmd_solve(args):
     inst = _load_instance(args)
     field = inst.field
     seed_doc = _load_json(args.start)
-    if args.steps <= 0:
-        raise ParseError(f"--steps must be positive, got {args.steps}")
-    opts = SolveOptions(seed=args.seed, continuation=args.steps)
     report = fileio.Report("solve", inst, seed=args.seed)
     log: list = []
     if "partition" in seed_doc:
         part = fileio.partition_from_doc(field, seed_doc)
-        roots = seed_and_continue(inst, part, opts, log=log)
+        roots = seed_and_continue(inst, part, SolveOptions(seed=args.seed), log=log)
     elif "roots" in seed_doc:
         start = fileio.roots_from_doc(field, seed_doc)
         if start.rank != inst.rank:
@@ -313,7 +310,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", parents=[common], help="solve Bethe equations from a partition or initial roots")
     p.add_argument("instance")
     p.add_argument("start", help="JSON file with a 'partition' or 'roots' key")
-    p.add_argument("--steps", type=int, default=64, help="first continuation step 1/(N-1), then adaptive")
     p.add_argument("--out", default=None, help="write the solution file here")
     p.set_defaults(fn=cmd_solve)
 

@@ -226,8 +226,8 @@ class MachineField(NumericField):
 
     Scalars are Python ``float``/``complex`` at 53 bits, with the default
     tolerances of that precision: tau = 2^-33, tau_root = 2^-16.  Continuation
-    tracks its path here and refines once in the caller's field; it is not a
-    file-format backend.
+    tracks and polishes its path here, then refines in the caller's field; it
+    is not a file-format backend.
     """
 
     def __init__(self):

@@ -44,6 +44,15 @@ class TestResidual:
         rep = bq.verify_bethe(inst, pert)
         assert not rep.ok and rep.max_residual > 0
 
+    @pytest.mark.parametrize("call", ["solve_newton", "verify_bethe", "bethe_residual", "roots_to_solution"])
+    def test_roots_need_one_set_per_color(self, call):
+        # one root set for the two colors of A2 is refused up front, not
+        # met as an IndexError or a missing q-_1
+        inst, _, _ = a2_rational(N)
+        args = (1, 1) if call == "bethe_residual" else ()
+        with pytest.raises(ValueError, match="has 2 colors, the roots 1"):
+            getattr(bq, call)(inst, bq.BetheRoots.make(N, [["0.1"]]), *args)
+
     def test_log_form_equals_explicit(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -164,7 +173,7 @@ class TestNewton:
         log = []
         roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=3), log=log)
         assert bq.verify_bethe(inst, roots).ok
-        refine = [r for r in log if r["phase"] == "refine"]
+        refine = [r for r in log if r["phase"] == "refine" and r["precision"] == 256]
         assert refine and {r["jacobian_precision"] for r in refine} == {256}
         for a, b in zip(roots.roots, expected.roots):
             for w, v in zip(a, b):
@@ -230,7 +239,8 @@ class TestNewton:
     def test_continuation_log_context(self):
         # each record names its phase and the precision of the Jacobian that
         # made the step; tracking records also carry s, the
-        # step h and the coordinate scale k.  Records repeat byte for byte.
+        # step h and the coordinate scale k.  The refinement polishes in
+        # machine floats, then at 256 bits.  Records repeat byte for byte.
         inst = a1_two_points(N)
         logs = []
         for _ in range(2):
@@ -244,7 +254,8 @@ class TestNewton:
         assert track and refine and len(track) + len(refine) == len(log)
         assert all({"s", "h", "k"} <= set(r) for r in track)
         assert track[-1]["s"] == 1 and all(0 <= r["s"] <= 1 and r["h"] >= 0 and r["k"] > 0 for r in track)
-        assert all(r["precision"] == 256 for r in refine)
+        precisions = [r["precision"] for r in refine]
+        assert set(precisions) == {53, 256} and precisions == sorted(precisions)
         assert all(r["jacobian_precision"] == 53 for r in log)
 
     def test_log_residuals_below_float_range(self):
@@ -451,9 +462,10 @@ class TestContinuation:
         # spread far wider than their closest distance (the geometry of
         # test_close_points_wide_spread); the caller's 256 bits only see the
         # final refinement, whose Newton directions come from Jacobians in
-        # machine floats: no 256-bit Jacobian or elimination, and at most 8
-        # residual sweeps at 256 bits (quadratic 256-bit Newton needs 7, each
-        # step with a 256-bit Jacobian and elimination)
+        # machine floats: no 256-bit Jacobian or elimination, and at most 5
+        # residual sweeps at 256 bits from the endpoint polished in machine
+        # floats (6-7 from the endpoint at the tracking tolerance; quadratic
+        # 256-bit Newton needs 7, each step with a 256-bit Jacobian and elimination)
         import betheqq.bethe
 
         jacobian, sweep, eliminate = (betheqq.bethe.bethe_jacobian, betheqq.bethe._System.sweep,
@@ -486,7 +498,7 @@ class TestContinuation:
             inst = bq.QQInstance.make(bq.CartanType("A", 2), N, points, [Q(2, 3), Q(1, 5)])
             roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, w_sets), bq.SolveOptions(seed=seed))
             assert jacobians == [], points
-            assert 0 < len(residuals) <= 8, points
+            assert 0 < len(residuals) <= 5, points
             assert bq.verify_bethe(inst, roots).ok
 
     def test_tracking_builds_no_instance(self, monkeypatch):
@@ -517,6 +529,20 @@ class TestContinuation:
                              bq.SolveOptions(seed=3), log=log)
         assert 0 < sum(1 for r in log if not r.get("converged")) <= 96
 
+    def test_whole_path_first_step(self):
+        # well separated, the first step (h = 1) crosses the whole path, so
+        # tracking accepts s = 0 and s = 1 only; the endpoint is polished in
+        # machine floats, and the first 256-bit refinement record reads below
+        # 1e-28 (7.6e-14 when refined straight from the tracking tolerance)
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), N, [(0, (1, 0)), (10, (0, 1))], [Q(2, 3), Q(1, 5)])
+        log = []
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[0], [10]]),
+                                     bq.SolveOptions(seed=3), log=log)
+        assert [r["s"] for r in log if r["phase"] == "track" and r.get("converged")] == [0, 1]
+        refine = [r for r in log if r["phase"] == "refine" and r["precision"] == 256]
+        assert N(refine[0]["max_residual"]) < N("1e-28")
+        assert bq.verify_bethe(inst, roots).ok
+
     def test_exact_path_needs_no_newton(self):
         # one point and one root: u = -1/(xi t) exactly, which the predictor
         # for t u extrapolates without error, so every correction converges
@@ -530,8 +556,9 @@ class TestContinuation:
         assert abs(roots.roots[0][0] - (N(Q(1, 3)) - 1 / inst.xi(1))) <= N.tau
 
     def test_tracking_work_on_criterion_2(self):
-        # the criterion-2 cases take 931 tracking Newton iterations with the
-        # predictor in the frame that moves with 1/t (2520 with u extrapolated
+        # the criterion-2 cases take 860 tracking Newton iterations with the
+        # predictor in the frame that moves with 1/t and a first step of the
+        # whole path (931 from a first step of 1/63, 2520 with u extrapolated
         # linearly in s); a count, so it does not depend on the host
         iterations = 0
         for t in range(100):
@@ -551,16 +578,6 @@ class TestContinuation:
         inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(0, (1,)), (N("1e-20"), (1,))], [Q(1, 2)])
         roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[N("1e-20")]]), bq.SolveOptions(seed=1))
         assert bq.verify_bethe(inst, roots).ok
-
-    def test_initial_step_does_not_move_the_answer(self):
-        # --steps only sets the first step; 8 and 256 land on the same roots
-        found = []
-        for steps in (8, 256):
-            inst, part = random_bijection_case(random.Random(9004), 2, N)
-            found.append(bq.seed_and_continue(inst, part, bq.SolveOptions(seed=4, continuation=steps)))
-        for a, b in zip(*(r.roots for r in found)):
-            for w in a:
-                assert min(abs(w - v) for v in b) < N.ctx.mpf("1e-40")
 
     def test_exact_backend_rejected(self):
         inst = a1_two_points(F)

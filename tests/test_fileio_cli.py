@@ -155,7 +155,7 @@ class TestCliSolve:
         ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
         ppath = _write(tmp_path, "p.json", {"partition": [["2"]]})
         out = tmp_path / "sol.json"
-        code = main(["solve", ipath, ppath, "--out", str(out), "--steps", "24"])
+        code = main(["solve", ipath, ppath, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0
         report = json.loads(captured.out)
@@ -175,7 +175,9 @@ class TestCliSolve:
         capsys.readouterr()
 
     def test_tol_sets_the_field_tau(self, tmp_path, capsys):
-        # Newton stops at --tol; completion and verify_bethe judge at the same tau
+        # --tol sets the tau that every check judges at: a solution whose
+        # Bethe residual is about 1e-30 passes at 1e-20 and fails at the
+        # default tau of 256 bits (about 7e-49)
         N = bq.NumericField(256)
         inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
                                   [(0, (1, 0)), (Q(1, 2), (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
@@ -183,6 +185,16 @@ class TestCliSolve:
         ppath = _write(tmp_path, "p.json", {"partition": [["0", "1/2"], ["3"]]})
         assert main(["solve", ipath, ppath, "--tol", "1e-20"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [["0", "1/2"], ["3"]]))
+        off = roots.replace_flat([w + N("1e-30") * (n == 0) for n, w in enumerate(roots.flat())])
+        assert N("1e-31") < bq.verify_bethe(inst, off).max_residual < N("1e-29")
+        loose = bq.QQInstance.make(inst.ctype, bq.NumericField(256, tau=N("1e-20")), inst.points, inst.twist.zeta)
+        spath = _write(tmp_path, "s.json", fileio.solution_to_doc(N, bq.roots_to_solution(loose, off)))
+        for argv, code in ((["--tol", "1e-20"], 0), ([], 1)):
+            assert main(["verify", ipath, spath, *argv]) == code
+            checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+            assert checks["bethe_residuals"]["pass"] is (code == 0)
+            assert N("1e-31") < N(checks["bethe_residuals"]["residual"]) < N("1e-29")
 
     def test_solver_collision_exits_3(self, tmp_path, capsys, monkeypatch):
         # a PoleCollision met while tracking is a solver failure, not an input error
@@ -357,18 +369,14 @@ class TestCliInputErrors:
         ["chain", "{a2}", "{a2sol}", "--word", "1,1"],
         ["diagonalize", "{a2}", "{a2sol}", "--word", "1,2"],
         ["admissible", "{a2}", "--word", "1", "--degrees", "1"],
-        ["solve", "{a1}", "{part}", "--steps", "0"],
         ["admissible", "{no_cartan}", "--word", "1"],
         ["admissible", "{short_d}", "--word", "1,2"],
     ], ids=["letter-out-of-range", "word-not-reduced", "word-not-longest", "degrees-too-short",
-            "steps-zero", "datum-without-cartan", "datum-d-too-short"])
+            "datum-without-cartan", "datum-d-too-short"])
     def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
         # a bad argument is an input error: exit 2 and one stderr line, no report
         inst, _, sol = a2_rational()
-        N = bq.NumericField(256)
-        a1 = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1, (1,)), (2, (1,))], [Q(3, 4)])
         docs = {"a2": fileio.instance_to_doc(inst), "a2sol": fileio.solution_to_doc(F, sol),
-                "a1": fileio.instance_to_doc(a1), "part": {"partition": [["2"]]},
                 "no_cartan": {"d": [1], "N": [1]},
                 "short_d": {"cartan": {"family": "A", "rank": 2}, "d": [1], "N": [1, 1]}}
         paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
@@ -457,7 +465,7 @@ class TestDeterminism:
         argv = {
             "verify": [a2, a2sol],
             "solve": [_write(tmp_path, "a1.json", fileio.instance_to_doc(a1)),
-                      _write(tmp_path, "p.json", {"partition": [["2"]]}), "--steps", "24"],
+                      _write(tmp_path, "p.json", {"partition": [["2"]]})],
             "chain": [a2, a2sol, "--word", "1,2,1"],
             "admissible": [a2, "--word", "1,2,1", "--degrees", "1,1"],
             "fold": [_write(tmp_path, "b2.json", fileio.instance_to_doc(b2_inst)),
