@@ -59,10 +59,14 @@ def _write_json(path: str | None, doc: dict) -> None:
 def _load_instance(args, doc: dict | None = None):
     """The instance file ``args.instance``, or its already parsed ``doc``."""
     doc = _load_json(args.instance) if doc is None else doc
-    if args.tol is not None:  # the field's tau for the run, as "tolerances" sets it
+    # each flag given edits the document key that sets it
+    if args.backend is not None:
+        doc["backend"] = args.backend
+    if args.precision is not None:
+        doc["precision_bits"] = args.precision
+    if args.tol is not None:
         doc["tolerances"] = {**(doc.get("tolerances") or {}), "tau": args.tol}
-    return fileio.instance_from_doc(doc, backend_override=args.backend,
-                                    precision_override=args.precision)
+    return fileio.instance_from_doc(doc)
 
 
 def _emit_log(records) -> None:
@@ -77,10 +81,19 @@ def _extract_roots(sol):
         return None
 
 
+def _one_per_color(inst, what: str, got: int) -> None:
+    """ParseError unless an input file gave one of ``what`` per color (``got`` of them)."""
+    if got != inst.rank:
+        raise ParseError(f"{what} needs {inst.rank} entries, one per color, got {got}")
+
+
 def _load_pair(args):
     """The instance file and the solution file, read in the instance's field."""
     inst = _load_instance(args)
-    return inst, fileio.solution_from_doc(inst.field, _load_json(args.solution))
+    sol = fileio.solution_from_doc(inst.field, _load_json(args.solution))
+    _one_per_color(inst, "solution file 'q_plus'", len(sol.q_plus))
+    _one_per_color(inst, "solution file 'q_minus'", len(sol.q_minus))
+    return inst, sol
 
 
 def _out_or_artifact(report, path, name: str, doc) -> None:
@@ -144,8 +157,7 @@ def cmd_solve(args):
         roots = seed_and_continue(inst, part, SolveOptions(seed=args.seed), log=log)
     elif "roots" in seed_doc:
         start = fileio.roots_from_doc(field, seed_doc)
-        if start.rank != inst.rank:
-            raise ParseError(f"start file needs {inst.rank} root lists, one per color, got {start.rank}")
+        _one_per_color(inst, "start file 'roots'", start.rank)
         roots = solve_newton(inst, start, log)
     else:
         raise ParseError("start file needs a 'partition' or 'roots' key")

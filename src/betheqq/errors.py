@@ -39,7 +39,7 @@ class NoConvergence(BetheqqError):
 
 
 class SingularJacobian(BetheqqError):
-    """Newton Jacobian stayed singular through the retry policy."""
+    """Newton's direction is singular, too long or not finite."""
 
 
 class BadPartition(BetheqqError, ValueError):

@@ -44,18 +44,16 @@ def rational_to_doc(field: Field, r: RationalFn) -> dict:
 # -- instance ---------------------------------------------------------------
 
 
-def field_from_doc(doc: dict, backend_override: str | None = None,
-                   precision_override: int | None = None) -> Field:
-    backend = backend_override or doc.get("backend", "exact")
-    precision = precision_override or int(doc.get("precision_bits", 256))
+def field_from_doc(doc: dict) -> Field:
+    backend = doc.get("backend", "exact")
+    precision = int(doc.get("precision_bits", 256))
     tols = doc.get("tolerances", {}) or {}
     return make_field(backend, precision, tau=tols.get("tau"), tau_root=tols.get("tau_root"))
 
 
-def instance_from_doc(doc: dict, backend_override: str | None = None,
-                      precision_override: int | None = None) -> QQInstance:
+def instance_from_doc(doc: dict) -> QQInstance:
     try:
-        field = field_from_doc(doc, backend_override, precision_override)
+        field = field_from_doc(doc)
         fam = doc["cartan"]["family"]
         rank = int(doc["cartan"]["rank"])
         ctype = CartanType(fam, rank)

@@ -18,7 +18,7 @@ from .bethe import BetheRoots
 from .errors import FactorizationFailed, PoleCollision, UnsupportedType
 from .polyalg import Poly, RationalFn, log_deriv, roots, solve_linear_ode
 from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product, neighbor_sum
-from .rootsys import CartanMatrix, CartanType, Twist, WeylWord, cartan_matrix, twist_from_pairings
+from .rootsys import CartanMatrix, CartanType, Twist, WeylWord, twist_from_pairings
 from .scalars import Field
 
 
@@ -423,39 +423,25 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
 def reduce_twist_type_a(field: Field, z_matrix: Sequence[Sequence]) -> tuple[RatMatrix, Twist]:
     """Conjugate d + Z, Z constant upper-triangular, to d + diag(Z).
 
-    Works diagonal by diagonal: the entry c at (i, j) is cleared by
-    exp(f E_{ij}) with f' + (Z_ii - Z_jj) f = c, which is a polynomial in z
-    (a constant when the diagonal gap is nonzero, z-dependent otherwise).
-    Returns the accumulated unipotent u(z) and the diagonal as a twist for
-    type A_{n-1} (the scalar part of the diagonal is central and dropped).
+    The unipotent gauge u(z) with u (d + Z) u^-1 = d + diag(Z) is fixed by
+    u Z - u' = diag(Z) u, which reads entry by entry as the triangular
+    recurrence u_ij' + (Z_ii - Z_jj) u_ij = sum_{i<=k<j} u_ik Z_kj, solved
+    diagonal by diagonal from u_ii = 1.  Each u_ij is a polynomial in z: the
+    unique one when the gap Z_ii - Z_jj is nonzero (a constant on the first
+    diagonal), and the antiderivative with zero constant term when it is zero.
+    Returns u and the diagonal as a twist for type A_{n-1} (the scalar part
+    of the diagonal is central and dropped).
     """
     n = len(z_matrix)
-    a_mat = [[Poly.const(field, z_matrix[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            if not a_mat[i][j].is_zero:
-                raise ValueError("twist matrix must be upper triangular")
-    hvals = [field(z_matrix[i][i]) for i in range(n)]
-    u_total = RatMatrix.identity(field, n)
+    z = [[field(x) for x in row] for row in z_matrix]
+    if any(z[i][j] != 0 for i in range(n) for j in range(i)):
+        raise ValueError("twist matrix must be upper triangular")
+    u = {(i, i): Poly.const(field, 1) for i in range(n)}
     for dist in range(1, n):
-        for i in range(0, n - dist):
+        for i in range(n - dist):
             j = i + dist
-            c = a_mat[i][j]
-            if c.is_zero:
-                continue
-            f = solve_linear_ode(field, hvals[i] - hvals[j], c)
-            # conjugate: A -> A + f [E_ij, A] - f' E_ij  (E_ij A E_ij = 0 here)
-            new = [row[:] for row in a_mat]
-            for b in range(n):
-                if not a_mat[j][b].is_zero:
-                    new[i][b] = new[i][b] + f * a_mat[j][b]
-            for a in range(n):
-                if not a_mat[a][i].is_zero:
-                    new[a][j] = new[a][j] - a_mat[a][i] * f
-            new[i][j] = new[i][j] - f.deriv()
-            a_mat = new
-            u_total = _elementary(field, n, (i, j), RationalFn.from_poly(f)) @ u_total
-    xi = [hvals[a] - hvals[a + 1] for a in range(n - 1)]
-    cmat = cartan_matrix(CartanType("A", n - 1))
-    twist = twist_from_pairings(field, cmat, xi)
-    return u_total, twist
+            rhs = sum((u[i, k].scale(z[k][j]) for k in range(i, j)), Poly.zero(field))
+            u[i, j] = solve_linear_ode(field, z[i][i] - z[j][j], rhs)
+    xi = [z[a][a] - z[a + 1][a + 1] for a in range(n - 1)]
+    twist = twist_from_pairings(field, CartanType("A", n - 1).cartan, xi)
+    return RatMatrix.sparse(field, n, {at: RationalFn.from_poly(p) for at, p in u.items()}), twist

@@ -78,7 +78,7 @@ class TestDocumentRoundTrips:
         field = fileio.instance_from_doc(doc).field
         expected = bq.NumericField(200, tau="1e-30", tau_root="1e-12")
         assert (field.precision, field.tau, field.tau_root) == (200, expected.tau, expected.tau_root)
-        assert isinstance(fileio.instance_from_doc(doc, backend_override="exact").field, bq.ExactField)
+        assert isinstance(fileio.instance_from_doc({**doc, "backend": "exact"}).field, bq.ExactField)
 
 
 def _write(tmp_path, name, doc):
@@ -414,6 +414,35 @@ class TestCliInputErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("input error: ")
+
+    @pytest.mark.parametrize("shape", ["one-color", "three-colors", "short-q-minus"])
+    @pytest.mark.parametrize("cmd", ["verify", "chain", "diagonalize", "fold"])
+    def test_solution_colors_must_match_exits_2(self, cmd, shape, tmp_path, capsys):
+        # a rank-2 instance needs two q+ and two q- polynomials in the solution file
+        inst, _, sol = b2_rational() if cmd == "fold" else a2_rational()
+        qp, qm = (fileio.solution_to_doc(F, sol)[k] for k in ("q_plus", "q_minus"))
+        doc = {"one-color": {"q_plus": qp[:1], "q_minus": qm[:1]},
+               "three-colors": {"q_plus": qp + qp[:1], "q_minus": qm + qm[:1]},
+               "short-q-minus": {"q_plus": qp, "q_minus": qm[:1]}}[shape]
+        argv = [cmd, _write(tmp_path, "i.json", fileio.instance_to_doc(inst)),
+                _write(tmp_path, "s.json", doc)]
+        assert main(argv + (["--word", "1,2,1"] if cmd in ("chain", "diagonalize") else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ") and "one per color" in line
+
+    @pytest.mark.parametrize("bits", ["0", "10"])
+    def test_precision_below_the_floor_exits_2(self, bits, tmp_path, capsys):
+        # --precision 0 is a given flag, not an absent one
+        ipath = _write(tmp_path, "a2.json", fileio.instance_to_doc(a2_rational()[0]))
+        argv = ["admissible", ipath, "--word", "1,2,1", "--degrees", "1,1",
+                "--backend", "numeric", "--precision", bits]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ") and "precision" in line
 
     @pytest.mark.parametrize("case", ["roots-one-color", "instance-list", "solution-list", "start-list",
                                       "tol-zero", "tol-negative", "tau-root-negative"])

@@ -1,8 +1,10 @@
 """Source hygiene: no library module imports a name it never uses, no
 module-level private helper or constant is left without a use, and no defaulted
-parameter of a library function is left without a caller that passes it."""
+parameter of a library function is left without a caller that passes it,
+and every method that perfbench/tracer.py wraps is defined on its class."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -137,3 +139,23 @@ def test_no_unused_parameters():
     paths = [p for root in (SRC, TESTS, TESTS.parent / "demos") for p in sorted(root.glob("*.py"))]
     passed = passed_arguments(*(p.read_text(encoding="utf-8") for p in paths))
     assert [u for p in MODULES for u in unused_parameters(p.read_text(encoding="utf-8"), passed)] == []
+
+
+def traced_methods() -> list:
+    """``(layer, class, method)`` for each entry of the ``METHODS`` and
+    ``COUNTED`` tables of perfbench/tracer.py, read from its source."""
+    tree = ast.parse((TESTS.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    tables = [ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id in ("METHODS", "COUNTED") for t in n.targets)]
+    assert len(tables) == 2
+    return [(layer, cls, meth) for table in tables for layer, classes in table.items()
+            for cls, methods in classes.items() for meth in methods]
+
+
+TRACED = traced_methods()
+
+
+@pytest.mark.parametrize("layer, cls, meth", TRACED, ids=[".".join(t) for t in TRACED])
+def test_traced_method_exists(layer, cls, meth):
+    """The tracer looks each method up in its class's own namespace."""
+    assert meth in vars(getattr(importlib.import_module(f"betheqq.{layer}"), cls))

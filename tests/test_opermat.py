@@ -282,6 +282,11 @@ class TestBruhat:
         assert coeffs(out.v) == coeffs(b_plus)
 
 
+#: Z_11 = Z_44 = 3/2 is the only repeated diagonal entry
+ZERO_GAP_4X4 = [[Q(3, 2), Q(-3, 2), Q(0), Q(-2)], [Q(0), Q(-3), Q(-2), Q(3, 2)],
+                [Q(0), Q(0), Q(-3, 2), Q(-1, 2)], [Q(0), Q(0), Q(0), Q(3, 2)]]
+
+
 class TestReduceTwist:
     def test_diagonal_input(self):
         u, tw = bq.reduce_twist_type_a(F, [[Q(1), 0], [0, Q(2)]])
@@ -302,6 +307,31 @@ class TestReduceTwist:
         assert u.entries[0][1].defect(RationalFn.from_poly(P(0, 5))) == 0
         _assert_diagonalizes(z, u)
 
+    def test_zero_gap_4x4(self):
+        z = ZERO_GAP_4X4
+        u, _ = bq.reduce_twist_type_a(F, z)
+        _assert_gauge_identity(z, u)
+        _assert_diagonalizes(z, u)
+        # Z_11 = Z_44: u_14 is the antiderivative of its right side with no constant term
+        assert u.entries[0][3].num.coeffs == (0, Q(-47, 18))
+        for i, j in [(i, j) for j in range(4) for i in range(j) if z[i][i] == z[j][j]]:
+            assert u.entries[i][j].num.coeff(0) == 0, (i, j)
+
+    def test_numeric_matches_exact(self):
+        N = bq.NumericField(256)
+        rng = random.Random(44)  # 3 of its 8 draws repeat a diagonal entry
+        zs = [ZERO_GAP_4X4] + [[[Q(rng.randint(-3, 3), rng.randint(1, 2)) if j >= i else Q(0)
+                                 for j in range(4)] for i in range(4)] for _ in range(8)]
+        for z in zs:
+            exact, _ = bq.reduce_twist_type_a(F, z)
+            num, _ = bq.reduce_twist_type_a(N, z)
+            for row_e, row_n in zip(exact.entries, num.entries):
+                for e, m in zip(row_e, row_n):
+                    assert m.den.coeffs == (1,)
+                    for k in range(max(len(e.num.coeffs), len(m.num.coeffs))):
+                        x = e.num.coeff(k)
+                        assert N.is_zero(N(x) - m.num.coeff(k), scale=max(abs(x), 1))
+
     def test_random_3x3_4x4(self):
         rng = random.Random(43)
         for n in (3, 4):
@@ -310,6 +340,7 @@ class TestReduceTwist:
                       for j in range(n)] for i in range(n)]
                 u, tw = bq.reduce_twist_type_a(F, z)
                 _assert_diagonalizes(z, u)
+                _assert_gauge_identity(z, u)
                 cm = bq.cartan_matrix(bq.CartanType("A", n - 1))
                 for i in range(1, n):
                     assert bq.pairing(i, tw, cm) == z[i - 1][i - 1] - z[i][i]
@@ -317,6 +348,17 @@ class TestReduceTwist:
     def test_rejects_lower_entries(self):
         with pytest.raises(ValueError):
             bq.reduce_twist_type_a(F, [[Q(1), 0], [Q(1), Q(2)]])
+
+
+def _assert_gauge_identity(z, u):
+    """u Z - u' = diag(Z) u, entry by entry as polynomials."""
+    n = len(z)
+    assert all(e.den.coeffs == (1,) for row in u.entries for e in row)
+    p = [[e.num for e in row] for row in u.entries]
+    for i in range(n):
+        for j in range(n):
+            lhs = sum((p[i][k].scale(z[k][j]) for k in range(n)), -p[i][j].deriv())
+            assert (lhs - p[i][j].scale(z[i][i])).is_zero, (i, j)
 
 
 def _assert_diagonalizes(z, u):
