@@ -4,7 +4,9 @@ A single step at color i multiplies the connection by exp(mu_i f_i) and
 produces a solution for s_i(Z^H); chains iterate this right-to-left along a
 reduced Weyl word.  The degree of every new plus polynomial is predicted by
 the combinatorial degree map, and the per-prefix inequalities decide whether
-a fully generic chain can exist at all.
+a fully generic chain can exist at all.  Where the twist pairs to zero with
+the step's color, q-_i is fixed only up to a multiple of q+_i, and the chain
+picks that multiple deterministically.
 """
 
 from fractions import Fraction as Q
@@ -39,11 +41,25 @@ cm = inst.cartan
 for n, step in enumerate(trace.steps, start=1):
     predicted = bq.degree_map(cur, step.index, cm)
     print(f"  step {n}: s_{step.index}, degrees {step.solution.degrees()}",
-          f"(predicted {predicted}), composable={step.composable}, generic={step.generic}")
+          f"(predicted {predicted}), generic={step.generic}")
     cur = bq.CombinatorialDatum(tuple(p.degree() for p in step.solution.q_plus),
                                 cur.n, cur.psi_simple, cur.psi_all_roots)
 print("final twist equals the word acting on Z^H:",
       trace.final_instance.twist.zeta)
+
+print()
+print("a zero pairing xi_2 = 0 leaves q-_2 free up to c q+_2; the chain keeps the")
+print("first of c = 0, 1, ..., 8 whose step is generic:")
+zinst = bq.QQInstance.make(bq.CartanType("A", 2), F, [(0, (1, 0))], [2, 1])
+zw1 = -1 / zinst.xi(1)
+zsol = bq.roots_to_solution(zinst, bq.BetheRoots.make(F, [[zw1], []]))
+qm2 = zsol.q_minus[1] - bq.Poly.const(F, zsol.q_minus[1](zw1))  # shares the root of q+_1
+zsol = bq.QQSolution.make(zsol.q_plus, [zsol.q_minus[0], qm2])
+ztrace = bq.chain(zinst, zsol, bq.WeylWord.make([2, 1, 2], 2))
+kept = ztrace.steps[0].solution.q_plus[1]
+print(f"  q-_2 = {qm2} vanishes at the root {zw1} of q+_1, so c = 0 is not generic;")
+print(f"  the first step keeps q+_2 = {kept}, which is (q-_2 + q+_2) made monic (c = 1):",
+      kept.coeffs == (qm2 + zsol.q_plus[1]).monic().coeffs, f"generic={ztrace.steps[0].generic}")
 
 print()
 print("admissibility of degree data (d, N) along the same word:")

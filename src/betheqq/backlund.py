@@ -15,12 +15,11 @@ s_{i_1}...s_{i_k}(Z^H).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ChainBroken, InconsistentSystem
-from .polyalg import Poly, RationalFn, chop
+from .polyalg import Poly, RationalFn, chop, wronskian
 from .qqcore import (
     QQInstance,
     QQSolution,
@@ -127,8 +126,6 @@ def mu_gauge_form(inst: QQInstance, sol: QQSolution, i: int) -> RationalFn:
     Agrees with :func:`mu` exactly when the i-th residual vanishes; comparing
     the two forms is therefore a solution check.
     """
-    from .polyalg import wronskian
-
     qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
     lam = build_lambdas(inst)[i - 1]
     num = wronskian(qp, qm) + (qp * qm).scale(inst.xi(i))
@@ -177,7 +174,6 @@ class ChainStep:
     instance: QQInstance
     solution: QQSolution
     mu: RationalFn
-    composable: bool
     generic: bool
 
 
@@ -200,57 +196,45 @@ class ChainTrace:
     def fully_generic(self) -> bool:
         return all(s.generic for s in self.steps)
 
-    @property
-    def fully_composable(self) -> bool:
-        return all(s.composable for s in self.steps)
+
+def _step(inst: QQInstance, sol: QQSolution, i: int, c: int = 0) -> ChainStep:
+    """The Backlund step at color i, run with q-_i + c q+_i in place of q-_i."""
+    if c:
+        q_minus = list(sol.q_minus)
+        q_minus[i - 1] = q_minus[i - 1] + sol.q_plus[i - 1].scale(inst.field(c))
+        sol = QQSolution.make(sol.q_plus, q_minus)
+    step_mu = mu(inst, sol, i)
+    new_inst, new_sol = apply_simple(inst, sol, i)
+    return ChainStep(i, new_inst, new_sol, step_mu, check_nondegenerate(new_inst, new_sol.q_plus).ok)
 
 
-def _swapped_family_ok(inst: QQInstance, sol: QQSolution, i: int) -> bool:
-    """Nondegeneracy of (q+_1, ..., q-_i, ..., q+_r) up to monic scaling."""
-    family = list(sol.q_plus)
-    qm = chop(sol.q_minus[i - 1])
-    if qm.is_zero:
-        return False
-    family[i - 1] = qm.monic()
-    return check_nondegenerate(inst, family).ok
-
-
-def chain(inst: QQInstance, sol: QQSolution, word: WeylWord, retry_seed: int = 0) -> ChainTrace:
+def chain(inst: QQInstance, sol: QQSolution, word: WeylWord) -> ChainTrace:
     """Iterate simple Backlund steps right-to-left through a reduced word.
 
-    Records per-step flags: ``composable`` (the completions under the
-    reflected twist succeeded) and ``generic`` (the transformed q+ family is
-    nondegenerate).  When the pairing at the step's color vanishes, the free
-    completion constant is resampled (seeded, up to 8 times) if the swapped
-    family fails a genericity condition, since some shift q-_i + c q+_i
-    restores it.  A failed step (a failed completion, or a q+ or q- that
-    vanishes numerically) raises :class:`ChainBroken` carrying the partial
-    trace.
+    Records per step whether the new q+ family is nondegenerate
+    (``generic``).  Where the step's color pairs to zero, q-_i is fixed up to
+    c q+_i: the step runs with c = 0, 1, ..., 8 in turn and keeps the first
+    generic one (one that fails is passed over), else the one with c = 0.
+    A failed step at c = 0 (a failed completion, or a q+ or q- that vanishes
+    numerically) raises :class:`ChainBroken` carrying the partial trace.
     """
-    cmat = inst.cartan
-    if not is_reduced(word, cmat):
+    if not is_reduced(word, inst.cartan):
         raise ValueError("word is not reduced")
-    rng = random.Random(retry_seed)
-    field = inst.field
-    steps: list[ChainStep] = []
-    cur_inst, cur_sol = inst, sol
-    for step_no, pos in enumerate(range(len(word) - 1, -1, -1), start=1):
-        letter = word.letters[pos]
+    trace = ChainTrace(word, inst, sol, ())
+    for step_no, letter in enumerate(reversed(word.letters), start=1):
+        cur_inst, cur_sol = trace.final_instance, trace.final_solution
         try:
-            if cur_inst.xi(letter) == 0 and not _swapped_family_ok(cur_inst, cur_sol, letter):
-                for _ in range(8):
-                    c = field(rng.randint(1, 10 ** 6))
-                    shifted = list(cur_sol.q_minus)
-                    shifted[letter - 1] = cur_sol.q_minus[letter - 1] + cur_sol.q_plus[letter - 1].scale(c)
-                    cand = QQSolution.make(cur_sol.q_plus, shifted)
-                    if _swapped_family_ok(cur_inst, cand, letter):
-                        cur_sol = cand
-                        break
-            step_mu = mu(cur_inst, cur_sol, letter)
-            new_inst, new_sol = apply_simple(cur_inst, cur_sol, letter)
-            generic = check_nondegenerate(new_inst, new_sol.q_plus).ok
+            step = _step(cur_inst, cur_sol, letter)
         except ValueError as exc:  # InconsistentSystem, or a polynomial that vanished numerically
-            raise ChainBroken(step_no, exc, ChainTrace(word, inst, sol, tuple(steps))) from exc
-        steps.append(ChainStep(letter, new_inst, new_sol, step_mu, True, generic))
-        cur_inst, cur_sol = new_inst, new_sol
-    return ChainTrace(word, inst, sol, tuple(steps))
+            raise ChainBroken(step_no, exc, trace) from exc
+        if cur_inst.xi(letter) == 0 and not step.generic:
+            for c in range(1, 9):
+                try:
+                    cand = _step(cur_inst, cur_sol, letter, c)
+                except ValueError:  # this shift breaks a completion; try the next
+                    continue
+                if cand.generic:
+                    step = cand
+                    break
+        trace = ChainTrace(word, inst, sol, trace.steps + (step,))
+    return trace

@@ -47,7 +47,9 @@ def rational_to_doc(field: Field, r: RationalFn) -> dict:
 def field_from_doc(doc: dict) -> Field:
     backend = doc.get("backend", "exact")
     precision = int(doc.get("precision_bits", 256))
-    tols = doc.get("tolerances", {}) or {}
+    tols = doc.get("tolerances") or {}
+    if not isinstance(tols, dict):
+        raise TypeError(f"'tolerances' must be an object, not {type(tols).__name__}")
     return make_field(backend, precision, tau=tols.get("tau"), tau_root=tols.get("tau_root"))
 
 
@@ -139,7 +141,6 @@ def trace_to_doc(trace: ChainTrace) -> dict:
             "lead": [scalar_to_doc(field, x) for x in step.instance.lead],
             "mu": rational_to_doc(field, step.mu),
             "solution": solution_to_doc(field, step.solution),
-            "composable": step.composable,
             "generic": step.generic,
         })
     return {
@@ -149,7 +150,6 @@ def trace_to_doc(trace: ChainTrace) -> dict:
             "solution": solution_to_doc(field, trace.initial_solution),
         },
         "steps": steps,
-        "fully_composable": trace.fully_composable,
         "fully_generic": trace.fully_generic,
     }
 

@@ -352,12 +352,6 @@ def w0_permutation(field: Field, n: int) -> RatMatrix:
     return RatMatrix.sparse(field, n, {(i, n - 1 - i): rf_const(field, 1) for i in range(n)})
 
 
-def _elementary(field: Field, n: int, at: tuple, f: RationalFn) -> RatMatrix:
-    """1 + f E_at, for an off-diagonal position ``at``."""
-    one = rf_const(field, 1)
-    return RatMatrix.sparse(field, n, {**{(a, a): one for a in range(n)}, at: f})
-
-
 @dataclass(frozen=True)
 class Diagonalization:
     v: RatMatrix
@@ -372,13 +366,14 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
     forms b- = [prod_steps (1 - mu_step E_{i+1,i})] . prod_j (qbar+_j)^{alphacheck_j}
     in the defining representation, splits b- = b+ . w0 . n+ by Gaussian
     elimination, and returns v = b+ together with the verification defect of
-    A - (v Z^H v^-1 - v' v^-1).
+    A - (v Z^H v^-1 - v' v^-1).  The product is taken as column operations
+    on the identity (column i-1 gains -mu_step times column i), then scaling.
 
     v is assembled from the returned trace.  The gauge product needs the
     unnormalized chain (a monic rescaling multiplies every later gauge
     coefficient by a constant and breaks the intertwining identity), so the
     trace's monic rescaling is undone through its lead ledger, one constant
-    per color.  A retry at xi_i = 0 follows :func:`chain`'s seeded policy.
+    per color.
     """
     _type_a_check(inst.ctype)
     field = inst.field
@@ -391,24 +386,25 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
     # of the traced pair; lam is the step's monic rescaling
     c = [field.one] * inst.rank
     prev_inst, prev_sol = inst, sol
-    e_mat = RatMatrix.identity(field, n)
+    zero = rf_zero(field)
+    rows = [list(row) for row in RatMatrix.identity(field, n).entries]
     for step in trace.steps:
         i = step.index
         adj = neighbor_product(inst.cartan, c, i, field.one)
         pair = inst.lead[i - 1] / prev_inst.lead[i - 1] * adj
         mu_raw = RationalFn.make(step.mu.num.scale(adj), step.mu.den.scale(pair))
-        e_mat = e_mat @ _elementary(field, n, (i, i - 1), -mu_raw)  # e^{-mu f_i} = 1 - mu E_{i+1,i}
+        for row in rows:  # times e^{-mu f_i} = 1 - mu E_{i+1,i}: column i-1 gains -mu column i
+            if not row[i].is_zero:
+                col = row[i - 1] + row[i] * -mu_raw
+                row[i - 1] = zero if col.is_zero else col
         lam = -step.solution.q_minus[i - 1].lc() / prev_sol.q_plus[i - 1].lc()
         c[i - 1] = pair / c[i - 1] * lam
         prev_inst, prev_sol = step.instance, step.solution
     qbar = [p.scale(ck) for ck, p in zip(c, trace.final_solution.q_plus)]
 
-    diag = []
-    for a in range(n):
-        num = qbar[a] if a < inst.rank else Poly.const(field, 1)
-        den = qbar[a - 1] if a > 0 else Poly.const(field, 1)
-        diag.append(RationalFn.make(num, den))
-    b_minus = e_mat @ RatMatrix.diagonal(diag)
+    framed = [Poly.const(field, 1), *qbar, Poly.const(field, 1)]
+    diag = [RationalFn.make(num, den) for den, num in zip(framed, framed[1:])]  # qbar_a / qbar_{a-1}
+    b_minus = RatMatrix.build([[zero if e.is_zero else e * d for e, d in zip(row, diag)] for row in rows])
 
     b_plus, _ = _bruhat_eliminate(b_minus)  # n+ is not needed
     a_mat = connection_matrix(inst, sol)

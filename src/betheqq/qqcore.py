@@ -304,6 +304,7 @@ def fold(inst: QQInstance, sol: QQSolution) -> tuple[QQInstance, QQSolution]:
     what makes the folded l-th equation balance.  Vanishing residuals fold to
     vanishing residuals; the folded solution is degenerate as soon as
     deg qk_+ >= 1 (the folded plus polynomial acquires multiple roots).
+    A zero qk_+ qk_- fails equation k and raises :class:`InconsistentSystem`.
     """
     ctype = inst.ctype
     if ctype.family not in ("B", "G"):
@@ -322,6 +323,8 @@ def fold(inst: QQInstance, sol: QQSolution) -> tuple[QQInstance, QQSolution]:
     twist_new = twist_from_pairings(field, folded_cmat, xi_new)
 
     qpk, qmk = sol.q_plus[k - 1], sol.q_minus[k - 1]
+    if (qpk * qmk).is_zero:
+        raise InconsistentSystem(k, f"q+_{k} q-_{k} vanishes, so the folded Lambda_{k} would too")
     pair_pow = (qpk * qmk) ** (mult - 1)
     extra = list(inst.extra)
     extra[k - 1] = pair_pow if extra[k - 1] is None else extra[k - 1] * pair_pow

@@ -237,7 +237,8 @@ class TestCliChainFoldDiag:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         trace = report["artifacts"]["trace"]
-        assert trace["fully_composable"] and trace["fully_generic"]
+        assert trace["fully_generic"] and "fully_composable" not in trace
+        assert "composable" not in trace["steps"][0]
         assert trace["steps"][0]["mu"]["num"] and trace["steps"][0]["mu"]["den"]
 
     def test_chain_broken_reports_partial_trace(self, tmp_path, capsys, monkeypatch):
@@ -313,6 +314,22 @@ class TestCliChainFoldDiag:
                                       json.loads((tmp_path / "folded.solution.json").read_text()))
         assert fi.ctype.family == "A"
         assert bq.residuals_vanish(fi, fs)
+
+    def test_fold_of_a_zero_short_pair_fails(self, tmp_path, capsys):
+        # q-_2 = [] fails equation 2, as verify finds; fold exits 1 instead of
+        # writing a folded instance whose Lambda~_2 is the zero polynomial
+        inst, _, sol = b2_rational()
+        doc = fileio.solution_to_doc(F, sol)
+        doc["q_minus"][1] = []
+        argv = [_write(tmp_path, "b2.json", fileio.instance_to_doc(inst)),
+                _write(tmp_path, "b2sol.json", doc)]
+        assert main(["verify", *argv]) == 1
+        capsys.readouterr()
+        assert main(["fold", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("check failed: ") and "q-_2 vanishes" in line
 
     def test_diagonalize(self, tmp_path, capsys):
         inst, _, sol = a2_rational()
@@ -432,6 +449,37 @@ class TestCliInputErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("input error: ") and "one per color" in line
 
+    @pytest.mark.parametrize("color", [1, 2])
+    @pytest.mark.parametrize("cmd", ["verify", "chain", "diagonalize", "fold"])
+    def test_zero_q_plus_exits_2(self, cmd, color, tmp_path, capsys):
+        # a zero q+ polynomial ("[]") is refused before any check runs
+        inst, _, sol = b2_rational() if cmd == "fold" else a2_rational()
+        doc = fileio.solution_to_doc(F, sol)
+        doc["q_plus"][color - 1] = []
+        argv = [cmd, _write(tmp_path, "i.json", fileio.instance_to_doc(inst)),
+                _write(tmp_path, "s.json", doc)]
+        assert main(argv + (["--word", "1,2,1"] if cmd in ("chain", "diagonalize") else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ") and f"'q_plus' entry {color} is the zero polynomial" in line
+
+    @pytest.mark.parametrize("cmd", ["verify", "chain", "admissible", "fold", "diagonalize"])
+    def test_seed_is_a_solve_flag(self, cmd, tmp_path, capsys):
+        # only solve draws random numbers; elsewhere --seed is an unknown flag
+        inst, _, sol = b2_rational() if cmd == "fold" else a2_rational()
+        ipath = _write(tmp_path, "i.json", fileio.instance_to_doc(inst))
+        spath = _write(tmp_path, "s.json", fileio.solution_to_doc(F, sol))
+        argv = {"admissible": [ipath, "--word", "1,2,1", "--degrees", "1,1"],
+                "chain": [ipath, spath, "--word", "1,2,1"],
+                "diagonalize": [ipath, spath, "--word", "1,2,1"]}.get(cmd, [ipath, spath])
+        assert main([cmd, *argv]) == 0
+        assert "seed" not in json.loads(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as err:
+            main([cmd, *argv, "--seed", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bits", ["0", "10"])
     def test_precision_below_the_floor_exits_2(self, bits, tmp_path, capsys):
         # --precision 0 is a given flag, not an absent one
@@ -445,15 +493,19 @@ class TestCliInputErrors:
         assert line.startswith("input error: ") and "precision" in line
 
     @pytest.mark.parametrize("case", ["roots-one-color", "instance-list", "solution-list", "start-list",
-                                      "tol-zero", "tol-negative", "tau-root-negative"])
+                                      "tol-zero", "tol-negative", "tau-root-negative", "list-tolerances",
+                                      "string-tolerances", "list-tolerances-and-tol"])
     def test_malformed_input_exits_2(self, case, tmp_path, capsys):
         # a start file with too few colors, a document that is not a JSON
-        # object and a tolerance that is not positive are input errors
+        # object, tolerances that are not an object and a tolerance that is
+        # not positive are input errors
         N = bq.NumericField(256)
         inst, _, sol = a2_rational(N)
         doc = fileio.instance_to_doc(inst)
-        if case == "tau-root-negative":
-            doc["tolerances"] = {"tau_root": "-1"}
+        tolerances = {"tau-root-negative": {"tau_root": "-1"}, "list-tolerances": ["1e-30"],
+                      "string-tolerances": "1e-30", "list-tolerances-and-tol": ["1e-30"]}
+        if case in tolerances:
+            doc["tolerances"] = tolerances[case]
         ipath = _write(tmp_path, "a2.json", doc)
         spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
         start = _write(tmp_path, "start.json", {"partition": [["0"], []]})
@@ -464,7 +516,10 @@ class TestCliInputErrors:
                 "start-list": ["solve", ipath, listed],
                 "tol-zero": ["solve", ipath, start, "--tol", "0"],
                 "tol-negative": ["solve", ipath, start, "--tol", "-1"],
-                "tau-root-negative": ["solve", ipath, start]}[case]
+                "tau-root-negative": ["solve", ipath, start],
+                "list-tolerances": ["verify", ipath, spath],
+                "string-tolerances": ["solve", ipath, start],
+                "list-tolerances-and-tol": ["verify", ipath, spath, "--tol", "1e-30"]}[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -476,9 +531,9 @@ class TestCliInputErrors:
 class TestDeterminism:
     def test_reports_stable_modulo_walltime(self, a1_files, capsys):
         ipath, spath, *_ = a1_files
-        main(["verify", ipath, spath, "--seed", "5"])
+        main(["verify", ipath, spath])
         r1 = json.loads(capsys.readouterr().out)
-        main(["verify", ipath, spath, "--seed", "5"])
+        main(["verify", ipath, spath])
         r2 = json.loads(capsys.readouterr().out)
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert fileio.canonical_json(r1) == fileio.canonical_json(r2)
@@ -503,7 +558,7 @@ class TestDeterminism:
         }[cmd]
         runs = []
         for _ in range(2):
-            code = main([cmd, *argv, "--seed", "5"])
+            code = main([cmd, *argv, *(["--seed", "5"] if cmd == "solve" else [])])
             captured = capsys.readouterr()
             out, n = re.subn(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": T', captured.out)
             assert n == 1
@@ -540,4 +595,4 @@ class TestDeterminism:
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "chain" and "trace" not in report["artifacts"]
         trace = json.loads(out.read_text())
-        assert trace["fully_composable"] and len(trace["steps"]) == 1
+        assert trace["fully_generic"] and len(trace["steps"]) == 1

@@ -1,7 +1,8 @@
 """Source hygiene: no library module imports a name it never uses, no
-module-level private helper or constant is left without a use, and no defaulted
-parameter of a library function is left without a caller that passes it,
-and every method that perfbench/tracer.py wraps is defined on its class."""
+module-level private helper or constant is left without a use, no defaulted
+parameter of a library function is left without a caller that passes it, no
+field of a library dataclass gets the same literal wherever it is built, and
+every method that perfbench/tracer.py wraps is defined on its class."""
 
 import ast
 import importlib
@@ -139,6 +140,73 @@ def test_no_unused_parameters():
     paths = [p for root in (SRC, TESTS, TESTS.parent / "demos") for p in sorted(root.glob("*.py"))]
     passed = passed_arguments(*(p.read_text(encoding="utf-8") for p in paths))
     assert [u for p in MODULES for u in unused_parameters(p.read_text(encoding="utf-8"), passed)] == []
+
+
+_NOT_LITERAL = object()
+
+
+def dataclass_fields(source: str) -> dict:
+    """Class decorated with ``dataclass`` in ``source`` -> its field names in
+    order, each with its default when that is a literal (else ``_NOT_LITERAL``)."""
+    out = {}
+    for n in ast.parse(source).body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(n, "decorator_list", [])]
+        names = {getattr(d, "id", None) or getattr(d, "attr", None) for d in decorators}
+        if isinstance(n, ast.ClassDef) and "dataclass" in names:
+            out[n.name] = [(f.target.id, _NOT_LITERAL if f.value is None else literal(f.value))
+                           for f in n.body if isinstance(f, ast.AnnAssign)]
+    return out
+
+
+def literal(node):
+    """The value of a literal expression node, else ``_NOT_LITERAL``."""
+    try:
+        value = ast.literal_eval(node)
+    except (TypeError, ValueError):
+        return _NOT_LITERAL
+    return (type(value), value)
+
+
+def constant_fields(classes: dict, *sources: str) -> list:
+    """``Class.field`` for each field of ``classes`` that every call of its
+    class in ``sources`` sets to one and the same literal (a default counts
+    where the call leaves the field out).  A call with ``*args`` or
+    ``**kwargs`` sets every field to something unknown."""
+    seen = {}
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name not in classes:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in n.args) or any(k.arg is None for k in n.keywords)
+            given = dict(zip((f for f, _ in classes[name]), n.args))
+            given.update((k.arg, k.value) for k in n.keywords)
+            for f, default in classes[name]:
+                if starred:
+                    value = _NOT_LITERAL
+                else:
+                    value = literal(given[f]) if f in given else default
+                seen.setdefault(f"{name}.{f}", []).append(value)
+    return sorted(k for k, vs in seen.items() if vs[0] is not _NOT_LITERAL and all(v == vs[0] for v in vs))
+
+
+def test_checker_flags_a_constant_field():
+    lib = ("@dataclass(frozen=True)\nclass Step:\n    a: int\n    flag: bool\n    b: int = 0\n"
+           "    c: int = 1\n\n@dataclass\nclass Spread:\n    x: int\n\nclass Plain:\n    y: int\n")
+    user = ("Step(a, True, c=2)\nmod.Step(a + 1, flag=True)\nSpread(1)\nSpread(-1)\nPlain(3)\n"
+            "Spread(*xs)\n")
+    assert constant_fields(dataclass_fields(lib), user) == ["Step.b", "Step.flag"]
+    assert constant_fields(dataclass_fields(lib), user, "Step(0, **kw)\n") == []
+
+
+def test_no_constant_dataclass_fields():
+    """A field that gets one literal at every construction site in the
+    library, the tests and the demos carries no information."""
+    classes = {k: v for p in MODULES for k, v in dataclass_fields(p.read_text(encoding="utf-8")).items()}
+    paths = [p for root in (SRC, TESTS, TESTS.parent / "demos") for p in sorted(root.glob("*.py"))]
+    assert constant_fields(classes, *(p.read_text(encoding="utf-8") for p in paths)) == []
 
 
 def traced_methods() -> list:

@@ -394,6 +394,16 @@ class TestDiagonalize:
             out = bq.diagonalize_type_a(inst, sol, bq.WeylWord.make(letters, 2))
             assert out.residual == 0
             assert out.v.is_upper_triangular()
+        # xi_2 = 0 with a q-_2 that shares the root of q+_1: v comes from the
+        # shifted first step that the chain keeps
+        inst = bq.QQInstance.make(bq.CartanType("A", 2), F, [(0, (1, 0))], [2, 1])
+        w1 = -1 / inst.xi(1)
+        sol = bq.roots_to_solution(inst, bq.BetheRoots.make(F, [[w1], []]))
+        bad = bq.QQSolution.make(sol.q_plus, [sol.q_minus[0], sol.q_minus[1] - P(sol.q_minus[1](w1))])
+        out = bq.diagonalize_type_a(inst, bad, bq.WeylWord.make([2, 1, 2], 2))
+        assert out.trace.steps[0].solution.q_plus[1] != bad.q_minus[1].monic()
+        assert out.residual == 0
+        assert out.v.is_upper_triangular()
 
     def test_runs_the_chain_once(self, monkeypatch):
         import betheqq.backlund

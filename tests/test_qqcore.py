@@ -208,6 +208,15 @@ class TestFold:
         pair = sol.q_plus[1] * broken.q_minus[1]
         assert (folded - (pair * orig).scale(2)).is_zero
 
+    def test_zero_short_pair_is_inconsistent(self):
+        # q-_2 = 0 fails equation 2 and would fold to a zero Lambda~_2
+        inst, _, sol = b2_rational()
+        assert inst.ctype.short_simple_root == 2
+        broken = bq.QQSolution.make(sol.q_plus, [sol.q_minus[0], Poly.zero(F)])
+        with pytest.raises(bq.InconsistentSystem) as err:
+            bq.fold(inst, broken)
+        assert err.value.color == 2
+
     def test_unsupported_types(self):
         for fam, rank in (("A", 2), ("C", 3), ("F", 4), ("D", 4)):
             inst = bq.QQInstance.make(bq.CartanType(fam, rank), F, [],
