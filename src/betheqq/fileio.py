@@ -9,8 +9,8 @@ under re-runs (timestamps excluded).
 
 from __future__ import annotations
 
-import hashlib
 import json
+import zlib
 from typing import Any
 
 from .backlund import ChainTrace, CombinatorialDatum
@@ -31,10 +31,23 @@ def poly_to_doc(field: Field, p: Poly) -> list:
     return [scalar_to_doc(field, c) for c in p.coeffs]
 
 
-def poly_from_doc(field: Field, doc) -> Poly:
+def _array(doc, name: str) -> list:
+    """``doc`` itself, which must be a JSON array: a string is refused, not
+    read character by character."""
     if not isinstance(doc, list):
-        raise ParseError("polynomial must be a list of coefficient literals")
-    return Poly.make(field, [field(c) for c in doc])
+        raise ParseError(f"{name} must be a JSON array, not {type(doc).__name__}")
+    return doc
+
+
+def _integer(doc, name: str) -> int:
+    """``doc`` as an int; ``true`` or a number with a fraction is refused, not truncated."""
+    if isinstance(doc, bool) or (isinstance(doc, float) and not doc.is_integer()):
+        raise ParseError(f"{name} must be an integer, not {json.dumps(doc)}")
+    return int(doc)
+
+
+def poly_from_doc(field: Field, doc) -> Poly:
+    return Poly.make(field, [field(c) for c in _array(doc, "polynomial")])
 
 
 def rational_to_doc(field: Field, r: RationalFn) -> dict:
@@ -46,7 +59,7 @@ def rational_to_doc(field: Field, r: RationalFn) -> dict:
 
 def field_from_doc(doc: dict) -> Field:
     backend = doc.get("backend", "exact")
-    precision = int(doc.get("precision_bits", 256))
+    precision = _integer(doc.get("precision_bits", 256), "'precision_bits'")
     tols = doc.get("tolerances") or {}
     if not isinstance(tols, dict):
         raise TypeError(f"'tolerances' must be an object, not {type(tols).__name__}")
@@ -57,15 +70,17 @@ def instance_from_doc(doc: dict) -> QQInstance:
     try:
         field = field_from_doc(doc)
         fam = doc["cartan"]["family"]
-        rank = int(doc["cartan"]["rank"])
-        ctype = CartanType(fam, rank)
-        points = [(p["z"], p["weights"]) for p in doc.get("points", [])]
-        twist = doc["twist"]
+        ctype = CartanType(fam, _integer(doc["cartan"]["rank"], "'rank'"))
+        points = [(p["z"], [_integer(w, "'weights' entry") for w in _array(p["weights"], "'weights'")])
+                  for p in doc.get("points", [])]
+        twist = _array(doc["twist"], "'twist'")
         lead = doc.get("lead")
+        if lead is not None:
+            lead = _array(lead, "'lead'")
         extra_doc = doc.get("extra")
         extra = None
         if extra_doc is not None:
-            extra = [poly_from_doc(field, e) if e else None for e in extra_doc]
+            extra = [poly_from_doc(field, e) if e is not None else None for e in extra_doc]
         return QQInstance.make(ctype, field, points, twist, lead=lead, extra=extra)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance document: {exc}") from exc
@@ -90,7 +105,7 @@ def instance_to_doc(inst: QQInstance) -> dict:
 
 def instance_digest(inst: QQInstance) -> str:
     blob = canonical_json(instance_to_doc(inst)).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return f"{zlib.crc32(blob):08x}"
 
 
 # -- solutions, roots, partitions, traces, matrices --------------------------
@@ -117,16 +132,21 @@ def roots_to_doc(field: Field, roots: BetheRoots) -> dict:
     return {"roots": [[scalar_to_doc(field, w) for w in color] for color in sorted_roots.roots]}
 
 
+def _colors(doc, name: str) -> list:
+    """One JSON array of scalar literals per color."""
+    return [_array(c, f"{name} color") for c in _array(doc, name)]
+
+
 def roots_from_doc(field: Field, doc: dict) -> BetheRoots:
     try:
-        return BetheRoots.make(field, doc["roots"])
+        return BetheRoots.make(field, _colors(doc["roots"], "'roots'"))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad roots document: {exc}") from exc
 
 
 def partition_from_doc(field: Field, doc: dict) -> InfinitePartition:
     try:
-        return InfinitePartition.make(field, doc["partition"])
+        return InfinitePartition.make(field, _colors(doc["partition"], "'partition'"))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad partition document: {exc}") from exc
 
@@ -175,7 +195,8 @@ def word_from_arg(text, ctype: CartanType, longest: bool = False) -> WeylWord:
 def degrees_from_arg(values, rank: int, name: str = "--degrees") -> tuple:
     """One integer per color, from "1,2" or a sequence."""
     try:
-        out = tuple(int(x) for x in (values.replace(",", " ").split() if isinstance(values, str) else values))
+        items = values.replace(",", " ").split() if isinstance(values, str) else values
+        out = tuple(_integer(x, name) for x in items)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad {name} {values!r}: {exc}") from None
     if len(out) != rank:
@@ -186,7 +207,7 @@ def degrees_from_arg(values, rank: int, name: str = "--degrees") -> tuple:
 def datum_from_doc(doc: dict) -> tuple[CartanType, CombinatorialDatum]:
     """The type and combinatorial datum of a bare datum document."""
     try:
-        ctype = CartanType(doc["cartan"]["family"], int(doc["cartan"]["rank"]))
+        ctype = CartanType(doc["cartan"]["family"], _integer(doc["cartan"]["rank"], "'rank'"))
         return ctype, CombinatorialDatum(
             degrees_from_arg(doc["d"], ctype.rank, "d"), degrees_from_arg(doc["N"], ctype.rank, "N"),
             frozenset(doc.get("psi", [])), bool(doc.get("psi_all", False)))

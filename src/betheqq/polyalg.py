@@ -9,7 +9,6 @@ exact zero.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,8 +18,6 @@ from mpmath.libmp import from_man_exp, fzero
 
 from .errors import PoleCollision, ZeroDenominator
 from .scalars import ExactField, Field
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,8 @@ def chop(p: Poly) -> Poly:
             dropped = True
         cs.pop()
     if dropped:
-        logger.warning("chop: trimmed sub-tolerance leading coefficients (scale %s)", ref)
+        import logging
+        logging.getLogger(__name__).warning("chop: trimmed sub-tolerance leading coefficients (scale %s)", ref)
     return Poly(field, tuple(cs))
 
 

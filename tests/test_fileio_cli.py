@@ -1,8 +1,12 @@
 """File formats, round-trips, reports, and the command-line driver."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,16 @@ from betheqq.cli import main
 from fixhelp import a1_standard, a2_rational, b2_rational, g2_rational
 
 F = bq.ExactField()
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """The last stdout line of ``code`` run by a new interpreter on the source tree."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    return run.stdout.splitlines()[-1]
 
 
 class TestScalarLiterals:
@@ -69,6 +83,12 @@ class TestDocumentRoundTrips:
         assert fileio.instance_digest(inst) == fileio.instance_digest(inst)
         other, _, _ = a2_rational()
         assert fileio.instance_digest(inst) != fileio.instance_digest(other)
+        # eight lowercase hex digits, the same in another interpreter
+        digest = fileio.instance_digest(inst)
+        assert re.fullmatch(r"[0-9a-f]{8}", digest)
+        code = "from fixhelp import a1_standard; from betheqq import fileio; " \
+               "print(fileio.instance_digest(a1_standard()[0]))"
+        assert _fresh_python(code) == digest
 
     def test_tolerances(self):
         # a numeric document's tolerance literals are parsed at its precision;
@@ -388,14 +408,16 @@ class TestCliInputErrors:
         ["admissible", "{a2}", "--word", "1", "--degrees", "1"],
         ["admissible", "{no_cartan}", "--word", "1"],
         ["admissible", "{short_d}", "--word", "1,2"],
+        ["admissible", "{fraction_d}", "--word", "1,2"],
     ], ids=["letter-out-of-range", "word-not-reduced", "word-not-longest", "degrees-too-short",
-            "datum-without-cartan", "datum-d-too-short"])
+            "datum-without-cartan", "datum-d-too-short", "datum-d-fraction"])
     def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
         # a bad argument is an input error: exit 2 and one stderr line, no report
         inst, _, sol = a2_rational()
         docs = {"a2": fileio.instance_to_doc(inst), "a2sol": fileio.solution_to_doc(F, sol),
                 "no_cartan": {"d": [1], "N": [1]},
-                "short_d": {"cartan": {"family": "A", "rank": 2}, "d": [1], "N": [1, 1]}}
+                "short_d": {"cartan": {"family": "A", "rank": 2}, "d": [1], "N": [1, 1]},
+                "fraction_d": {"cartan": {"family": "A", "rank": 2}, "d": [1.7, 1], "N": [1, 1]}}
         paths = {name: _write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
         assert main([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
@@ -494,23 +516,35 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("case", ["roots-one-color", "instance-list", "solution-list", "start-list",
                                       "tol-zero", "tol-negative", "tau-root-negative", "list-tolerances",
-                                      "string-tolerances", "list-tolerances-and-tol"])
+                                      "string-tolerances", "list-tolerances-and-tol",
+                                      "string-twist", "string-lead", "string-weights", "string-partition",
+                                      "string-roots", "fraction-precision", "fraction-rank", "true-rank"])
     def test_malformed_input_exits_2(self, case, tmp_path, capsys):
         # a start file with too few colors, a document that is not a JSON
-        # object, tolerances that are not an object and a tolerance that is
-        # not positive are input errors
+        # object, tolerances that are not an object, a tolerance that is not
+        # positive, a string where an array belongs and an integer key that
+        # is not an integer are input errors
         N = bq.NumericField(256)
         inst, _, sol = a2_rational(N)
         doc = fileio.instance_to_doc(inst)
-        tolerances = {"tau-root-negative": {"tau_root": "-1"}, "list-tolerances": ["1e-30"],
-                      "string-tolerances": "1e-30", "list-tolerances-and-tol": ["1e-30"]}
-        if case in tolerances:
-            doc["tolerances"] = tolerances[case]
+        edits = {"tau-root-negative": (doc, "tolerances", {"tau_root": "-1"}),
+                 "list-tolerances": (doc, "tolerances", ["1e-30"]),
+                 "string-tolerances": (doc, "tolerances", "1e-30"),
+                 "list-tolerances-and-tol": (doc, "tolerances", ["1e-30"]),
+                 "string-twist": (doc, "twist", "34"), "string-lead": (doc, "lead", "12"),
+                 "string-weights": (doc["points"][0], "weights", "10"),
+                 "fraction-precision": (doc, "precision_bits", 100.9),
+                 "fraction-rank": (doc["cartan"], "rank", 2.7), "true-rank": (doc["cartan"], "rank", True)}
+        if case in edits:
+            target, key, value = edits[case]
+            target[key] = value
         ipath = _write(tmp_path, "a2.json", doc)
         spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
         start = _write(tmp_path, "start.json", {"partition": [["0"], []]})
         listed = _write(tmp_path, "list.json", [1, 2])
         argv = {"roots-one-color": ["solve", ipath, _write(tmp_path, "r.json", {"roots": [["0.1"]]})],
+                "string-partition": ["solve", ipath, _write(tmp_path, "p12.json", {"partition": "12"})],
+                "string-roots": ["solve", ipath, _write(tmp_path, "r12.json", {"roots": "12"})],
                 "instance-list": ["verify", listed, spath],
                 "solution-list": ["verify", ipath, listed],
                 "start-list": ["solve", ipath, listed],
@@ -519,13 +553,41 @@ class TestCliInputErrors:
                 "tau-root-negative": ["solve", ipath, start],
                 "list-tolerances": ["verify", ipath, spath],
                 "string-tolerances": ["solve", ipath, start],
-                "list-tolerances-and-tol": ["verify", ipath, spath, "--tol", "1e-30"]}[case]
+                "list-tolerances-and-tol": ["verify", ipath, spath, "--tol", "1e-30"]
+                }.get(case, ["verify", ipath, spath])
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("input error: ")
         assert ("must be positive" in line) == case.startswith(("tol", "tau"))
+        string_for_array = case.startswith("string-") and case != "string-tolerances"
+        assert ("must be a JSON array" in line) == string_for_array
+        assert ("must be an integer" in line) == case.endswith(("-precision", "-rank"))
+
+    def test_zero_cofactor_exits_2(self, tmp_path, capsys):
+        # an empty "extra" entry is the zero polynomial, not an absent cofactor
+        inst, _, sol = a2_rational()
+        doc = {**fileio.instance_to_doc(inst), "extra": [[], None]}
+        argv = ["verify", _write(tmp_path, "i.json", doc),
+                _write(tmp_path, "s.json", fileio.solution_to_doc(F, sol))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ") and "nonzero polynomials" in line
+
+
+def test_single_file_runs_load_neither_openssl_nor_logging(tmp_path):
+    # the report fingerprint needs no hashlib, and only a chop warning loads logging
+    N = bq.NumericField(256)
+    inst, _, sol = a2_rational(N)
+    ipath = _write(tmp_path, "a2.json", fileio.instance_to_doc(inst))
+    spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
+    code = "import sys; from betheqq.cli import main; i, s = sys.argv[1:]; " \
+           "codes = [main(['verify', i, s]), main(['diagonalize', i, s, '--word', '1,2,1'])]; " \
+           "print(codes, sorted({'_hashlib', 'logging'} & set(sys.modules)))"
+    assert _fresh_python(code, ipath, spath) == "[0, 0] []"
 
 
 class TestDeterminism:
