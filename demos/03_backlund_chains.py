@@ -42,8 +42,7 @@ for n, step in enumerate(trace.steps, start=1):
     predicted = bq.degree_map(cur, step.index, cm)
     print(f"  step {n}: s_{step.index}, degrees {step.solution.degrees()}",
           f"(predicted {predicted}), generic={step.generic}")
-    cur = bq.CombinatorialDatum(tuple(p.degree() for p in step.solution.q_plus),
-                                cur.n, cur.psi_simple, cur.psi_all_roots)
+    cur = bq.CombinatorialDatum(tuple(p.degree() for p in step.solution.q_plus), cur.n)
 print("final twist equals the word acting on Z^H:",
       trace.final_instance.twist.zeta)
 
@@ -64,6 +63,6 @@ print(f"  the first step keeps q+_2 = {kept}, which is (q-_2 + q+_2) made monic 
 print()
 print("admissibility of degree data (d, N) along the same word:")
 for d in [(1, 1), (0, 1), (2, 2)]:
-    rep = bq.check_admissible(bq.CombinatorialDatum(d, (1, 0), frozenset(), False), word, cm)
+    rep = bq.check_admissible(bq.CombinatorialDatum(d, (1, 0)), word, cm)
     states = [(p.prefix, p.holds, p.degrees) for p in rep.prefixes]
     print(f"  d = {d}: pass = {rep.ok}; per-prefix {states}")

@@ -35,29 +35,15 @@ from .rootsys import WeylWord, is_reduced, reflect_twist
 
 @dataclass(frozen=True)
 class CombinatorialDatum:
-    """Degrees of the q+ family and the Lambda family, plus the twist kernel.
-
-    ``psi_simple`` collects the simple-root indices paired to zero by the
-    twist; ``psi_all_roots`` flags the fully degenerate case Z^H = 0 (every
-    root annihilates the twist).
-    """
+    """Degrees of the q+ family and of the Lambda family."""
 
     d: tuple
     n: tuple
-    psi_simple: frozenset
-    psi_all_roots: bool
 
     @staticmethod
     def from_instance(inst: QQInstance, d: Sequence[int]) -> "CombinatorialDatum":
-        lambdas = build_lambdas(inst)
-        xis = inst.xis()
-        psi = frozenset(i for i, x in enumerate(xis, start=1) if x == 0)
-        return CombinatorialDatum(
-            tuple(int(x) for x in d),
-            tuple(p.degree() for p in lambdas),
-            psi,
-            len(psi) == inst.rank,
-        )
+        return CombinatorialDatum(tuple(int(x) for x in d),
+                                  tuple(p.degree() for p in build_lambdas(inst)))
 
 
 def degree_map(datum: CombinatorialDatum, i: int, cartan) -> tuple:
@@ -103,10 +89,7 @@ def check_admissible(datum: CombinatorialDatum, word: WeylWord, cartan) -> Admis
         ok = ok and holds
         if s < len(word):
             letter = word.letters[len(word) - 1 - s]
-            current = CombinatorialDatum(
-                degree_map(current, letter, cartan), current.n,
-                current.psi_simple, current.psi_all_roots,
-            )
+            current = CombinatorialDatum(degree_map(current, letter, cartan), current.n)
     return AdmissibleReport(word, tuple(checks), ok)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
 from .polyalg import Poly, RationalFn, _gauss_jordan, _near, poly_from_roots
-from .qqcore import QQInstance, QQSolution, build_lambdas, neighbor_product
+from .qqcore import QQInstance, QQSolution, build_lambdas, complete_minus, neighbor_product
 from .scalars import ExactField, Field, MachineField, NumericField, residual_repr
 
 
@@ -576,8 +576,6 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
 
 def roots_to_solution(inst: QQInstance, roots: BetheRoots) -> QQSolution:
     """Monic q+ from the root sets, then polynomial completion."""
-    from .qqcore import complete_minus
-
     field = inst.field
     q_plus = [poly_from_roots(field, color) for color in roots._matching(inst).roots]
     return complete_minus(inst, q_plus)

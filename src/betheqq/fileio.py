@@ -208,9 +208,8 @@ def datum_from_doc(doc: dict) -> tuple[CartanType, CombinatorialDatum]:
     """The type and combinatorial datum of a bare datum document."""
     try:
         ctype = CartanType(doc["cartan"]["family"], _integer(doc["cartan"]["rank"], "'rank'"))
-        return ctype, CombinatorialDatum(
-            degrees_from_arg(doc["d"], ctype.rank, "d"), degrees_from_arg(doc["N"], ctype.rank, "N"),
-            frozenset(doc.get("psi", [])), bool(doc.get("psi_all", False)))
+        return ctype, CombinatorialDatum(degrees_from_arg(doc["d"], ctype.rank, "d"),
+                                         degrees_from_arg(doc["N"], ctype.rank, "N"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad datum document: {exc}") from exc
 

@@ -311,12 +311,10 @@ def _rf_is_zero(r: RationalFn) -> bool:
     return field.is_zero(r.num.norm(), scale=max(r.den.norm(), field.abs(field.one)))
 
 
-def _bruhat_eliminate(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
-    """(b+, n+^-1) of :func:`bruhat_factor_w0`, without inverting n+^-1."""
+def _bruhat_eliminate(m: RatMatrix) -> RatMatrix:
+    """The factor b+ of :func:`bruhat_factor_w0`, all that the elimination forms."""
     n = m.n
-    field = m.field
     work = [list(row) for row in m.entries]
-    ninv = [list(row) for row in RatMatrix.identity(field, n).entries]
     for b in range(1, n):
         for a in range(n - 1, n - 1 - b, -1):
             c = n - 1 - a
@@ -328,24 +326,23 @@ def _bruhat_eliminate(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
                 continue
             for row in range(n):
                 work[row][b] = work[row][b] - x * work[row][c]
-                ninv[row][b] = ninv[row][b] - x * ninv[row][c]
     for a in range(n):
         if _rf_is_zero(work[a][n - 1 - a]):
             raise FactorizationFailed("matrix is not in the open Bruhat cell")
     # b+ = work . P with P the antidiagonal permutation (an involution)
-    b_plus = RatMatrix.build([[work[i][n - 1 - j] for j in range(n)] for i in range(n)])
-    return b_plus, RatMatrix.build(ninv)
+    return RatMatrix.build([[work[i][n - 1 - j] for j in range(n)] for i in range(n)])
 
 
 def bruhat_factor_w0(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
     """Factor m = b+ . w0 . n+ against the antidiagonal permutation.
 
-    Gaussian elimination by column operations; a vanishing antidiagonal pivot
-    means m lies outside the open cell and raises FactorizationFailed.
-    Returns (b+, n+).
+    Gaussian elimination by column operations gives b+; a vanishing
+    antidiagonal pivot means m lies outside the open cell and raises
+    FactorizationFailed.  Returns (b+, n+) with n+ = w0 . b+^-1 . m (w0 is
+    an involution); on NumericField its strictly lower entries are rounding.
     """
-    b_plus, n_inv = _bruhat_eliminate(m)
-    return b_plus, n_inv.inverse_triangular()
+    b_plus = _bruhat_eliminate(m)
+    return b_plus, w0_permutation(m.field, m.n) @ b_plus.inverse_triangular() @ m
 
 
 def w0_permutation(field: Field, n: int) -> RatMatrix:
@@ -406,7 +403,7 @@ def diagonalize_type_a(inst: QQInstance, sol: QQSolution, word: WeylWord) -> Dia
     diag = [RationalFn.make(num, den) for den, num in zip(framed, framed[1:])]  # qbar_a / qbar_{a-1}
     b_minus = RatMatrix.build([[zero if e.is_zero else e * d for e, d in zip(row, diag)] for row in rows])
 
-    b_plus, _ = _bruhat_eliminate(b_minus)  # n+ is not needed
+    b_plus = _bruhat_eliminate(b_minus)
     a_mat = connection_matrix(inst, sol)
     gauged = gauge_transform(twist_matrix(field, inst.twist), b_plus)
     residual = a_mat.defect(gauged)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
@@ -333,68 +335,55 @@ def gcd(p: Poly, q: Poly) -> Poly:
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All roots of an exact polynomial, assuming it splits over the rationals.
+    """All roots of an exact polynomial, with multiplicity; ValueError when
+    it does not split over the rationals.
 
-    Raises ValueError when it does not; multiplicities are repeated.
+    With denominators cleared and ``a`` the leading coefficient, a root u/v
+    has v | a, so y = a z is an integer root of the monic integer polynomial
+    q(y) = a^(n-1) p(y/a).  Newton's step, rounded down and at least 1,
+    runs down from a bound on every |y|; from above the largest root of a
+    real-rooted q it never passes that root, and each exact root it meets
+    is divided out.  Above the remaining roots q and q' are positive, so
+    q(x) < 0 or q'(x) <= 0 there proves a root that is not rational.
     """
     if not isinstance(p.field, ExactField):
         raise NotImplementedError("rational_roots requires the exact backend")
     if p.is_zero:
         raise ValueError("zero polynomial")
-    roots: list[Fraction] = []
-    work = p
-    while not work.is_zero and work.degree() > 0:
-        root = _one_rational_root(work)
-        if root is None:
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in reversed(p.coeffs)]  # highest degree first
+    a = ints[0]
+    q = [1] + [c * a ** k for k, c in enumerate(ints[1:])]
+    # |y| < 2 max_k |q_(n-k)|^(1/k) at every root; each k-th root is rounded up to a power of 2
+    x = 2 * max((1 << -(-abs(c).bit_length() // k) for k, c in enumerate(q[1:], 1)), default=1)
+    roots = []
+    while len(q) > 1:
+        val = slope = 0
+        for c in q:  # Horner for q(x) and q'(x)
+            slope, val = slope * x + val, val * x + c
+        if val == 0:
+            roots.append(Fraction(x, a))
+            q = list(accumulate(q[:-1], lambda acc, c: acc * x + c))  # q / (y - x)
+        elif val < 0 or slope <= 0:
             raise ValueError("polynomial does not split over the rationals")
-        roots.append(root)
-        work = work.deflate(root)
+        else:
+            x = min(x - val // slope, x - 1)
     return roots
-
-
-def _one_rational_root(p: Poly):
-    # clear denominators to an integer polynomial, then try divisor pairs
-    from math import gcd as igcd
-
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // igcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    if ints[0] == 0:
-        return Fraction(0)
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n: int):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    for num in divisors(a0):
-        for dd in divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, dd)
-                if p(cand) == 0:
-                    return cand
-    return None
 
 
 def roots(p: Poly) -> list:
     """Roots of ``p`` with multiplicity, using the field's native route.
 
-    Exact backend: rational-root extraction (raises if the polynomial does
+    Exact backend: :func:`rational_roots` (raises if the polynomial does
     not split over the rationals).  Numeric backend: eigenvalues of the
-    companion matrix followed by one Newton polish per root.
+    companion matrix followed by one Newton polish per root.  Either way
+    the roots come in ``field.ordered`` order.
     """
     field = p.field
     if p.is_zero:
         raise ValueError("zero polynomial")
     if isinstance(field, ExactField):
-        return rational_roots(p)
+        return field.ordered(rational_roots(p))
     q = chop(p)
     if q.is_zero:
         raise ValueError("polynomial is numerically zero")

@@ -47,7 +47,7 @@ class CartanType:
     rank: int
 
     def __post_init__(self):
-        fam = self.family.upper()
+        fam = self.family.upper() if isinstance(self.family, str) else None
         if fam not in _RANK_RANGE:
             raise InvalidCartanType(f"unknown family {self.family!r}")
         object.__setattr__(self, "family", fam)

@@ -18,6 +18,7 @@ different precision can be used concurrently.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from typing import Any, Union
 
@@ -168,18 +169,20 @@ class NumericField(_Magnitudes):
             return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
         if isinstance(value, int):
             return ctx.mpf(value)
-        if isinstance(value, float):
-            return ctx.mpf(value)
-        if isinstance(value, complex):
-            return ctx.mpc(value.real, value.imag)
+        if isinstance(value, (float, complex)):  # infinity and NaN are refused, here and below
+            if not cmath.isfinite(value):
+                raise ParseError(f"numeric literal {value!r} is not finite")
+            return ctx.mpc(value.real, value.imag) if isinstance(value, complex) else ctx.mpf(value)
         if isinstance(value, str):
-            frac = _parse_rational(value) if "/" in value else None
-            if frac is not None:
-                return self(frac)
+            if "/" in value:
+                return self(_parse_rational(value))
             try:
-                return ctx.mpf(value.strip())
+                out = ctx.mpf(value.strip())
             except ValueError:
                 raise ParseError(f"bad numeric literal {value!r}") from None
+            if ctx.isinf(out) or ctx.isnan(out):
+                raise ParseError(f"numeric literal {value!r} is not finite")
+            return out
         if isinstance(value, (list, tuple)) and len(value) == 2:  # [re, im]
             re, im = value
             return self(re) + self(im) * ctx.mpc(0, 1)

@@ -106,9 +106,7 @@ def test_criterion_4_degree_bookkeeping():
                     predicted = bq.degree_map(cur_d, step.index, cm)
                     actual = step.solution.q_plus[step.index - 1].degree()
                     assert actual == predicted[step.index - 1], (str(inst.ctype), step.index)
-                cur_d = bq.CombinatorialDatum(
-                    tuple(p.degree() for p in step.solution.q_plus),
-                    cur_d.n, cur_d.psi_simple, cur_d.psi_all_roots)
+                cur_d = bq.CombinatorialDatum(tuple(p.degree() for p in step.solution.q_plus), cur_d.n)
                 cur_inst = step.instance
 
 

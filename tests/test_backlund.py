@@ -84,12 +84,12 @@ class TestApplySimple:
 class TestDegreeMap:
     def test_examples(self):
         a1 = bq.cartan_matrix(bq.CartanType("A", 1))
-        d = bq.CombinatorialDatum((1,), (1,), frozenset(), False)
+        d = bq.CombinatorialDatum((1,), (1,))
         assert bq.degree_map(d, 1, a1) == (0,)
         a2 = bq.cartan_matrix(bq.CartanType("A", 2))
-        d2 = bq.CombinatorialDatum((1, 1), (2, 0), frozenset(), False)
+        d2 = bq.CombinatorialDatum((1, 1), (2, 0))
         assert bq.degree_map(d2, 1, a2) == (2, 1)
-        d0 = bq.CombinatorialDatum((0, 0), (0, 0), frozenset(), False)
+        d0 = bq.CombinatorialDatum((0, 0), (0, 0))
         assert bq.degree_map(d0, 1, a2) == (0, 0)
 
 
@@ -97,26 +97,25 @@ class TestAdmissible:
     def test_examples(self):
         a1 = bq.cartan_matrix(bq.CartanType("A", 1))
         word = bq.WeylWord.make([1], 1)
-        ok = bq.check_admissible(bq.CombinatorialDatum((1,), (1,), frozenset(), False), word, a1)
+        ok = bq.check_admissible(bq.CombinatorialDatum((1,), (1,)), word, a1)
         assert ok.ok and [p.holds for p in ok.prefixes] == [True, True]
-        bad = bq.check_admissible(bq.CombinatorialDatum((2,), (1,), frozenset(), False), word, a1)
+        bad = bq.check_admissible(bq.CombinatorialDatum((2,), (1,)), word, a1)
         assert not bad.ok and not bad.prefixes[0].holds
         a2 = bq.cartan_matrix(bq.CartanType("A", 2))
-        zero = bq.check_admissible(bq.CombinatorialDatum((0, 0), (3, 1), frozenset(), False),
+        zero = bq.check_admissible(bq.CombinatorialDatum((0, 0), (3, 1)),
                                    bq.WeylWord.make([1, 2, 1], 2), a2)
         assert zero.ok
 
     def test_requires_reduced_word(self):
         a2 = bq.cartan_matrix(bq.CartanType("A", 2))
         with pytest.raises(ValueError):
-            bq.check_admissible(bq.CombinatorialDatum((0, 0), (1, 1), frozenset(), False),
+            bq.check_admissible(bq.CombinatorialDatum((0, 0), (1, 1)),
                                 bq.WeylWord.make([1, 1], 2), a2)
 
     def test_from_instance(self):
         inst, _, sol = a2_rational()
         datum = bq.CombinatorialDatum.from_instance(inst, [p.degree() for p in sol.q_plus])
         assert datum.n == (1, 0) and datum.d == (1, 1)
-        assert datum.psi_simple == frozenset() and not datum.psi_all_roots
 
 
 class TestChain:
@@ -152,9 +151,7 @@ class TestChain:
                 if cur_inst.xi(step.index) != 0:
                     predicted = bq.degree_map(cur_d, step.index, cm)
                     assert step.solution.q_plus[step.index - 1].degree() == predicted[step.index - 1]
-                cur_d = bq.CombinatorialDatum(
-                    tuple(p.degree() for p in step.solution.q_plus), cur_d.n,
-                    cur_d.psi_simple, cur_d.psi_all_roots)
+                cur_d = bq.CombinatorialDatum(tuple(p.degree() for p in step.solution.q_plus), cur_d.n)
                 cur_inst = step.instance
 
     def test_chain_broken_carries_trace(self, monkeypatch):

@@ -317,6 +317,12 @@ class TestCliChainFoldDiag:
         assert main(["admissible", path2, "--word", "1"]) == 1
         capsys.readouterr()
 
+    def test_datum_psi_keys_are_not_read(self, tmp_path, capsys):
+        # a datum is its degrees (d, N); a "psi" list of lists once failed as unhashable
+        datum = {"cartan": {"family": "A", "rank": 1}, "d": [1], "N": [1], "psi": [[1]]}
+        assert main(["admissible", _write(tmp_path, "datum.json", datum), "--word", "1"]) == 0
+        capsys.readouterr()
+
     def test_admissible_from_instance(self, a1_files, capsys):
         ipath, *_ = a1_files
         assert main(["admissible", ipath, "--word", "1", "--degrees", "1"]) == 0
@@ -425,6 +431,25 @@ class TestCliInputErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("input error: ")
 
+    @pytest.mark.parametrize("family", [1, ["A"]], ids=["number", "array"])
+    @pytest.mark.parametrize("kind", ["instance", "datum"])
+    def test_family_not_a_string_exits_2(self, kind, family, tmp_path, capsys):
+        # refused like an unknown family letter, not a traceback
+        inst, _, sol = a2_rational()
+        if kind == "instance":
+            doc = fileio.instance_to_doc(inst)
+            doc["cartan"]["family"] = family
+            argv = ["verify", _write(tmp_path, "i.json", doc),
+                    _write(tmp_path, "s.json", fileio.solution_to_doc(F, sol))]
+        else:
+            doc = {"cartan": {"family": family, "rank": 1}, "d": [1], "N": [1]}
+            argv = ["admissible", _write(tmp_path, "d.json", doc), "--word", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"error: unknown family {family!r}"
+
     def test_zero_pairing_target_exits_2(self, tmp_path, capsys):
         # xi_2 = 0: no scaled continuation path reaches the target twist
         N = bq.NumericField(256)
@@ -518,12 +543,14 @@ class TestCliInputErrors:
                                       "tol-zero", "tol-negative", "tau-root-negative", "list-tolerances",
                                       "string-tolerances", "list-tolerances-and-tol",
                                       "string-twist", "string-lead", "string-weights", "string-partition",
-                                      "string-roots", "fraction-precision", "fraction-rank", "true-rank"])
+                                      "string-roots", "fraction-precision", "fraction-rank", "true-rank",
+                                      "inf-point", "overflow-point", "nan-point", "infinity-twist",
+                                      "infinity-roots"])
     def test_malformed_input_exits_2(self, case, tmp_path, capsys):
         # a start file with too few colors, a document that is not a JSON
         # object, tolerances that are not an object, a tolerance that is not
-        # positive, a string where an array belongs and an integer key that
-        # is not an integer are input errors
+        # positive, a string where an array belongs, an integer key that is
+        # not an integer and a numeric literal that is not finite are input errors
         N = bq.NumericField(256)
         inst, _, sol = a2_rational(N)
         doc = fileio.instance_to_doc(inst)
@@ -534,17 +561,24 @@ class TestCliInputErrors:
                  "string-twist": (doc, "twist", "34"), "string-lead": (doc, "lead", "12"),
                  "string-weights": (doc["points"][0], "weights", "10"),
                  "fraction-precision": (doc, "precision_bits", 100.9),
-                 "fraction-rank": (doc["cartan"], "rank", 2.7), "true-rank": (doc["cartan"], "rank", True)}
+                 "fraction-rank": (doc["cartan"], "rank", 2.7), "true-rank": (doc["cartan"], "rank", True),
+                 "inf-point": (doc["points"][0], "z", "inf"),
+                 "overflow-point": (doc["points"][0], "z", "<1e400>"),
+                 "nan-point": (doc["points"][0], "z", float("nan")),
+                 "infinity-twist": (doc, "twist", [float("inf"), doc["twist"][1]])}
         if case in edits:
             target, key, value = edits[case]
             target[key] = value
         ipath = _write(tmp_path, "a2.json", doc)
+        Path(ipath).write_text(Path(ipath).read_text().replace('"<1e400>"', "1e400"))  # a float overflow
         spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
         start = _write(tmp_path, "start.json", {"partition": [["0"], []]})
         listed = _write(tmp_path, "list.json", [1, 2])
         argv = {"roots-one-color": ["solve", ipath, _write(tmp_path, "r.json", {"roots": [["0.1"]]})],
                 "string-partition": ["solve", ipath, _write(tmp_path, "p12.json", {"partition": "12"})],
                 "string-roots": ["solve", ipath, _write(tmp_path, "r12.json", {"roots": "12"})],
+                "infinity-roots": ["solve", ipath,
+                                   _write(tmp_path, "ri.json", {"roots": [[float("inf")], ["0.25"]]})],
                 "instance-list": ["verify", listed, spath],
                 "solution-list": ["verify", ipath, listed],
                 "start-list": ["solve", ipath, listed],
@@ -564,6 +598,7 @@ class TestCliInputErrors:
         string_for_array = case.startswith("string-") and case != "string-tolerances"
         assert ("must be a JSON array" in line) == string_for_array
         assert ("must be an integer" in line) == case.endswith(("-precision", "-rank"))
+        assert ("is not finite" in line) == case.startswith(("inf", "overflow", "nan"))
 
     def test_zero_cofactor_exits_2(self, tmp_path, capsys):
         # an empty "extra" entry is the zero polynomial, not an absent cofactor

@@ -1,4 +1,5 @@
-"""Source hygiene: no library module imports a name it never uses, no
+"""Source hygiene: no library module imports a name it never uses or
+imports inside a function from a sibling module it already imports from, no
 module-level private helper or constant is left without a use, no defaulted
 parameter of a library function is left without a caller that passes it, no
 field of a library dataclass gets the same literal wherever it is built, and
@@ -36,6 +37,29 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def redundant_local_imports(source: str) -> list:
+    """``function: .module`` for each import inside a function of ``source``
+    from a sibling module that ``source`` already imports from at top level."""
+    tree = ast.parse(source)
+    top = {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level}
+    return sorted({f"{fn.name}: .{n.module}" for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(fn)
+                   if isinstance(n, ast.ImportFrom) and n.level and n.module in top})
+
+
+def test_checker_flags_a_redundant_local_import():
+    src = ("import os\nfrom .a import x\n\ndef f():\n    from .a import y\n    import os\n\n"
+           "def g():\n    from .b import z\n    from logging import getLogger\n\n"
+           "class K:\n    def m(self):\n        def inner():\n            from .a import w\n")
+    assert redundant_local_imports(src) == ["f: .a", "inner: .a", "m: .a"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    """A lazy import of a sibling module the file already imports from saves nothing."""
+    assert redundant_local_imports(path.read_text(encoding="utf-8")) == []
 
 
 def loaded_names(source: str) -> set:

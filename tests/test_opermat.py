@@ -259,7 +259,7 @@ class TestBruhat:
             bruhat_factor_w0(RatMatrix.identity(F, 2))
 
     def test_diagonalize_inverts_once(self, monkeypatch):
-        # only gauge_transform's v^-1: the discarded n+ is never inverted
+        # only gauge_transform's v^-1: the elimination forms b+ alone
         calls, real = [], RatMatrix.inverse_triangular
         monkeypatch.setattr(RatMatrix, "inverse_triangular", lambda m: calls.append(m) or real(m))
         inst, _, sol = a2_rational()

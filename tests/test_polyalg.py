@@ -1,7 +1,9 @@
 """Polynomial layer: Wronskians, linear ODE solves, roots, gcd, backends."""
 
 import random
+import time
 from fractions import Fraction as Q
+from math import gcd, isqrt
 
 import pytest
 
@@ -95,6 +97,78 @@ class TestRootsAndGcd:
         q = P(-1, 1)
         assert bq.gcd(p, q).coeffs == (Q(-1), Q(1))
         assert bq.gcd(p, P(1)).degree() == 0
+
+
+def divisor_search(p):
+    """The former ``rational_roots``: try every +-u/v with u | a_0 and v | a_n
+    of the integer polynomial, deflating by each root found.  Time grows
+    with the square roots of the end coefficients; kept as a reference."""
+    roots, work = [], p
+    while not work.is_zero and work.degree() > 0:
+        den = 1
+        for c in work.coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = [int(c * den) for c in work.coeffs]
+
+        def divisors(n):
+            return sorted({d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+
+        root = Q(0) if ints[0] == 0 else next(
+            (Q(s * u, v) for u in divisors(abs(ints[0])) for v in divisors(abs(ints[-1]))
+             for s in (1, -1) if work(Q(s * u, v)) == 0), None)
+        if root is None:
+            raise ValueError("polynomial does not split over the rationals")
+        roots.append(root)
+        work = work.deflate(root)
+    return roots
+
+
+#: irreducible over the rationals: complex pairs, real irrational pairs, a cubic
+IRREDUCIBLE = [(1, 0, 1), (-2, 0, 1), (1, 1, 1), (-5, 0, 3), (-1, -1, 1), (-1, 3, 2), (-2, 0, 0, 1)]
+
+
+def split_or_not(rng):
+    """lead * prod (z - r) over up to 4 roots drawn from 3, so roots repeat,
+    with a negative or fractional lead; times an irreducible factor 35% of the time."""
+    pool = [Q(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(3)]
+    lead = Q(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 2))
+    p = bq.poly_from_roots(F, [rng.choice(pool) for _ in range(rng.randint(0, 4))], lead=lead)
+    return p * P(*rng.choice(IRREDUCIBLE)) if rng.random() < 0.35 else p
+
+
+def multiset_or_none(find, p):
+    try:
+        return sorted(find(p))
+    except ValueError:
+        return None
+
+
+class TestRationalRoots:
+    def test_matches_divisor_search(self):
+        rng = random.Random(24)
+        polys = [split_or_not(rng) for _ in range(2000)]
+        expected = [multiset_or_none(divisor_search, p) for p in polys]
+        assert [multiset_or_none(bq.rational_roots, p) for p in polys] == expected
+        split = [e for e in expected if e is not None]
+        assert len(split) > 1000 and len(polys) - len(split) > 500
+        assert sum(len(set(e)) < len(e) for e in split) > 300  # repeated roots
+
+    @pytest.mark.parametrize("extra", [P(1), P(1, 0, 1)], ids=["split", "times-z2+1"])
+    def test_big_coefficients(self, extra):
+        # 8-digit decimals: the divisor search runs for minutes on these
+        p = bq.poly_from_roots(F, [Q("0.12345678"), Q("0.87654321")]) * extra
+        t0 = time.perf_counter()
+        if extra.degree():
+            with pytest.raises(ValueError, match="does not split"):
+                bq.rational_roots(p)
+        else:
+            assert sorted(bq.rational_roots(p)) == [Q("0.12345678"), Q("0.87654321")]
+        assert time.perf_counter() - t0 < 5
+
+    def test_exact_roots_are_ordered(self):
+        given = [Q(1), Q(-1), Q(1, 2), Q(1), Q(0)]
+        found = bq.roots(bq.poly_from_roots(F, given, lead=Q(-3, 2)))
+        assert found == F.ordered(given) == [Q(-1), Q(0), Q(1, 2), Q(1), Q(1)]
 
 
 class TestBackendAgreement:
