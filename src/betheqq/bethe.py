@@ -19,7 +19,10 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
+
+from mpmath.libmp import from_float, fzero, mpc_shift, mpc_to_complex, mpf_shift, round_nearest
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
 from .polyalg import Poly, RationalFn, _gauss_jordan, _near, poly_from_roots
@@ -270,23 +273,33 @@ def _newton_direction(field: Field, jac: list, rhs: list, flat: list | None = No
     return x
 
 
-def _machine_direction(machine: _System, rts: BetheRoots, res: list) -> list:
-    """The Newton direction for the residuals ``res`` at ``rts`` from the
-    Jacobian of ``machine``, the equations in machine floats, at the roots
-    rounded to floats; SingularJacobian also when it is not finite, or when
-    some gap of the equations is too small for the roots and points."""
+def _machine_direction(field: Field, machine: _System, rts: BetheRoots, res: list, worst) -> list:
+    """The Newton direction in ``field`` for the residuals ``res`` (max
+    ``worst``) at ``rts`` from the Jacobian of ``machine``, the equations in
+    machine floats, at the roots rounded to floats.  The residuals are
+    scaled by 2^-e, e the exponent of ``worst``, before they are rounded,
+    and the direction back by 2^e: both exact, so floats resolve residuals
+    below their range.  SingularJacobian also when the direction is not
+    finite or too long, or when some gap of the equations is too small for
+    the roots and points."""
     rounded = BetheRoots(tuple(tuple(complex(w) for w in color) for color in rts.roots))
     top = max(map(abs, rounded.flat() + list(machine.diff[0])))
     if any(abs(g) * _MACH_SPREAD < top for g in machine.gaps(rounded.roots)):
         raise SingularJacobian("roots too close for their magnitude in machine floats")
+    man, exp = worst.man_exp
+    e = exp + man.bit_length()
+    rhs = [-mpc_to_complex(mpc_shift(getattr(v, "_mpc_", None) or (v._mpf_, fzero), -e), rnd=round_nearest)
+           for v in res]
     try:
-        delta = _newton_direction(_MACH, machine.sweep(rounded, residual=False, jacobian=True)[2],
-                                  [-complex(v) for v in res], rounded.flat())
+        delta = _newton_direction(_MACH, machine.sweep(rounded, residual=False, jacobian=True)[2], rhs)
     except (ZeroDivisionError, OverflowError) as exc:
         raise SingularJacobian(f"machine Jacobian failed: {exc}") from None
     if not all(map(cmath.isfinite, delta)):
         raise SingularJacobian("machine Newton direction is not finite")
-    return delta
+    if field.ctx.ldexp(_MACH.max_abs(delta), e) > _STEP_CAP * (1 + _MACH.max_abs(rounded.flat())):
+        raise SingularJacobian("Newton step beyond the scale of the roots")
+    make = field.ctx.make_mpc
+    return [make((mpf_shift(from_float(d.real), e), mpf_shift(from_float(d.imag), e))) for d in delta]
 
 
 def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
@@ -299,8 +312,9 @@ def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
     ``_STEP_CAP`` times 1 + max|w| counts as singular (``SingularJacobian``).
 
     On a numeric field wider than 53 bits, residuals keep its precision but
-    directions come from the Jacobian in machine floats: iterative
-    refinement, about 15 digits per step (``_ITERATIONS`` caps these steps).
+    directions come from the Jacobian in machine floats, with the residuals
+    scaled into their range: iterative refinement, about 15 digits per step
+    (``_ITERATIONS`` caps these steps), below the float range too.
     The iteration falls back to the full-precision direction when the
     machine one is singular, not finite or too long, or when no damped step
     along it is accepted before convergence; past the tolerance a machine
@@ -310,42 +324,46 @@ def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
     direction (53: machine floats).
     """
     field = inst.field
-    return _newton(_system(inst, init), init, field.tau, _ITERATIONS, log, True, context).canonical(field)
+    return _newton(_system(inst, init), init, field.tau, _ITERATIONS, log, True, context)[0].canonical(field)
 
 
 def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list | None,
-            polish: bool, context: dict | None) -> BetheRoots:
+            polish: bool, context: dict | None) -> tuple:
     """Newton on the equations ``system`` to the max residual ``tol``, at
     most ``iterations`` steps, keeping the order of ``init``; ``polish`` as
-    ``solve_newton`` polishes."""
+    ``solve_newton`` polishes.  Returns the roots and the Jacobian there,
+    formed by the sweeps when there are no machine directions, else None."""
     field = system.field
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     floor = field.zero if isinstance(field, ExactField) else field.ctx.eps * field.max_abs(system.xis)
+    damping = cache(field)  # each damped step length coerced once per call, when first tried
 
-    def directions(rts, res, jac):  # jac: the field's Jacobian at rts, if formed
+    def directions(rts, res, worst, jac):  # jac: the field's Jacobian at rts, if formed
         """``(jacobian precision, direction)`` in the order they are tried."""
         try:
-            delta = machine and _machine_direction(machine, rts, res)
+            delta = machine and _machine_direction(field, machine, rts, res, worst)
         except SingularJacobian:
             delta = None
         if delta:
-            yield 53, [field(d) for d in delta]
+            yield 53, delta
         jac = jac or system.sweep(rts, residual=False, jacobian=True)[2]
         yield field.precision, _newton_direction(field, jac, [-v for v in res], rts.flat())
 
     def step(rts, res, worst, jac, converged):
-        """The first accepted ``(roots, residuals, max, damping, precision)``,
-        or None; past the tolerance only a full step that halves the max."""
+        """The first accepted ``(roots, residuals, max, Jacobian, damping,
+        precision)``, or None; past the tolerance only a full step that
+        halves the max.  Without machine directions a trial's sweep forms its
+        Jacobian too, for the next step."""
         flat = rts.flat()
-        for prec, delta in directions(rts, res, jac):
-            for alpha in map(field, _DAMPING[:1] if converged else _DAMPING):
+        for prec, delta in directions(rts, res, worst, jac):
+            for alpha in map(damping, _DAMPING[:1] if converged else _DAMPING):
                 trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
                 try:
-                    tres, tworst, _ = system.sweep(trial)
+                    tres, tworst, tjac = system.sweep(trial, jacobian=machine is None)
                 except PoleCollision:
                     continue
                 if (tworst <= worst / 2) if converged else (tworst < worst or tworst <= tol):
-                    return trial, tres, tworst, alpha, prec
+                    return trial, tres, tworst, tjac, alpha, prec
             if converged:
                 return None
         return None
@@ -357,24 +375,23 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
 
     rts, prec = init, field.precision
     if rts.total() == 0:
-        return rts
-    # without machine directions the first step needs the Jacobian here: one sweep
+        return rts, None
     res, worst, jac = system.sweep(rts, jacobian=machine is None)
     for it in range(iterations + 1):
         converged = worst <= tol
         if converged and (not polish or worst <= floor) or it == iterations:
             break
-        taken, jac = step(rts, res, worst, jac, converged), None
+        taken = step(rts, res, worst, jac, converged)
         if taken is None:
             if converged:
                 break
             raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
-        rts, res, worst, alpha, prec = taken
+        rts, res, worst, jac, alpha, prec = taken
         record(it, worst, alpha, prec)
     if worst > tol:
         raise NoConvergence(f"residual {worst} after {iterations} iterations")
     record(it, worst, 1, prec, converged=True)
-    return rts
+    return rts, jac
 
 
 # -- infinite qq-system ------------------------------------------------------
@@ -534,24 +551,25 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             k = k / gap
             at = at_scale(t, k)
         tol = _MACH.tau_root * max(_MACH.tau_root, lo * abs(t) / k)
-        roots = _newton(at, roots, tol, iterations, log, False, {"phase": "track", "s": s, "h": h, "k": float(k)})
+        roots, jac = _newton(at, roots, tol, iterations, log, False, {"phase": "track", "s": s, "h": h, "k": float(k)})
         if s == 1:  # polish the endpoint in machine floats, so the refinement starts near their floor
-            roots = _newton(at, roots, tol, _ITERATIONS, log, True, {"phase": "refine"})
-        return roots, k, at
+            roots, jac = _newton(at, roots, tol, _ITERATIONS, log, True, {"phase": "refine"})
+        return roots, k, at, jac
 
     try:
         top = at_scale(scale(0.0), 1).xis
         seeds = BetheRoots(tuple(tuple(-1 / xi for _ in color) for color, xi in zip(anchors, top)))
-        roots, k, at = correct(seeds, 1, 0.0, 0.0, _ITERATIONS)
+        roots, k, at, jac = correct(seeds, 1, 0.0, 0.0, _ITERATIONS)
         s, h, tangent, failure = 0.0, 1.0, None, None
         while s < 1:
             if h < _MIN_STEP:  # the corrector's last failure, else a collision
                 raise failure or PathCollision(f"continuation step below {_MIN_STEP} at s = {s}")
             if tangent is None:
-                # F(u, t(s)) = 0 with dF_i/dt = xi_i / t at scale t (``at``, from ``correct``)
+                # F(u, t(s)) = 0 with dF_i/dt = xi_i / t at scale t (``at`` and its Jacobian ``jac``
+                # at the roots, from ``correct``)
                 dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
                 rhs = [-xi * dlog for xi, color in zip(at.xis, roots.roots) for _ in color]
-                tangent = _newton_direction(_MACH, at.sweep(roots, residual=False, jacobian=True)[2], rhs)
+                tangent = _newton_direction(_MACH, jac, rhs)
                 gaps = list(at.gaps(roots.roots))
             # v = t u linearly in s: u(nxt) = (u + h (u' + u dlog)) t(s) / t(nxt)
             nxt = min(1.0, s + h)
@@ -563,7 +581,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                 h /= 2
                 continue
             try:
-                roots, k, at = correct(pred, k, nxt, h, 3)
+                roots, k, at, jac = correct(pred, k, nxt, h, 3)
                 s, h, tangent, failure = nxt, 2 * h, None, None
             except (NoConvergence, SingularJacobian, PoleCollision) as exc:
                 h, failure = h / 2, exc

@@ -22,6 +22,7 @@ from .errors import (
     BetheqqError,
     ChainBroken,
     InconsistentSystem,
+    InvalidCartanType,
     NoConvergence,
     ParseError,
     PathCollision,
@@ -244,7 +245,7 @@ def _command(args) -> int:
 
 #: exit code and stderr prefix per error type, first match wins
 _FAILURES = (
-    ((ParseError, BadPartition), EXIT_INPUT, "input error"),
+    ((ParseError, BadPartition, InvalidCartanType), EXIT_INPUT, "input error"),
     ((NoConvergence, SingularJacobian, PathCollision), EXIT_SOLVER, "solver failed"),
     ((InconsistentSystem, ChainBroken), EXIT_CHECK, "check failed"),
     (BetheqqError, EXIT_INPUT, "error"),

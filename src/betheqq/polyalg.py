@@ -35,7 +35,7 @@ class Poly:
     def make(field: Field, coeffs: Iterable) -> "Poly":
         """Build a polynomial, coercing entries and trimming exact-zero tails."""
         cs = [field(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         return Poly(field, tuple(cs))
 
@@ -548,7 +548,9 @@ def _gauss_jordan(field: Field, rows: list[list], rhs: list):
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    pivot_tol = field.tau * field.max_abs([v for row in rows for v in row])
+    pivot_tol = field.tau * field.max_abs([v for row in rows for v in row if v])
+    # x - f*0 is x up to the sign of a float zero, so zero entries of the
+    # pivot row are skipped
     piv_cols = []
     r = 0
     for c in range(n):
@@ -557,13 +559,16 @@ def _gauss_jordan(field: Field, rows: list[list], rhs: list):
             continue
         piv = r + k
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
+        top = a[r]
+        inv = top[c]
+        cols = [j for j in range(c, n + 1) if top[j]]
         for i in range(m):
-            if i == r or a[i][c] == 0:
+            row = a[i]
+            if i == r or not row[c]:
                 continue
-            factor = a[i][c] / inv
-            for j in range(c, n + 1):
-                a[i][j] = a[i][j] - factor * a[r][j]
+            factor = row[c] / inv
+            for j in cols:
+                row[j] = row[j] - factor * top[j]
         piv_cols.append(c)
         r += 1
         if r == m:

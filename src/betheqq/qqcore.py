@@ -190,7 +190,7 @@ def _terms_hold(field: Field, terms: tuple, res: Poly | None = None) -> bool:
     ``res``, is zero or negligible against the largest term."""
     w, x, rhs = terms
     res = w + x - rhs if res is None else res
-    return res.is_zero or field.is_zero(res.norm(), scale=max(t.norm() for t in terms))
+    return res.is_zero or field.is_zero(res.norm(), scale=field.max_abs([c for t in terms for c in t.coeffs]))
 
 
 def equation_holds(inst: QQInstance, sol: QQSolution, i: int, res: Poly | None = None) -> bool:
@@ -254,9 +254,11 @@ def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None
     cap = gen_deg if xi != 0 else max(gen_deg, qp.degree())
 
     rows_len = max(rhs.degree() if not rhs.is_zero else 0, qp.degree() + cap) + 1
-    # column k holds W(q+_i, z^k) + xi q+_i z^k, rounded as those products round
-    c, dc = qp.coeff, qp.deriv().coeff
-    rows = [[k * c(m - k + 1) - dc(m - k) + xi * c(m - k) for k in range(cap + 1)] for m in range(rows_len)]
+    # column k holds W(q+_i, z^k) + xi q+_i z^k, rounded as those products
+    # round, in the band k - 1 <= m <= k + deg q+_i of rows; zero outside
+    c, dc, deg, zero = qp.coeff, qp.deriv().coeff, qp.degree(), field.zero
+    rows = [[k * c(m - k + 1) - dc(m - k) + xi * c(m - k) if k - 1 <= m <= k + deg else zero
+             for k in range(cap + 1)] for m in range(rows_len)]
     b = [rhs.coeff(m) for m in range(rows_len)]
     sol, defect = solve_linear_system(field, rows, b)
     h = None if sol is None else chop(Poly.make(field, sol))

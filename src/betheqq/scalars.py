@@ -160,11 +160,12 @@ class NumericField(_Magnitudes):
             raise ValueError("tolerances tau and tau_root must be positive")
         self.zero = ctx.mpc(0)
         self.one = ctx.mpc(1)
+        self._own = (ctx.mpf, ctx.mpc)
 
     def __call__(self, value):
-        ctx = self.ctx
-        if isinstance(value, (ctx.mpf, ctx.mpc)):
+        if type(value) in self._own:
             return value
+        ctx = self.ctx
         if isinstance(value, Fraction):
             return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
         if isinstance(value, int):
@@ -237,6 +238,11 @@ class MachineField(NumericField):
         self._bind(fp)
 
     largest = _Magnitudes.largest
+
+    def within(self, x, bound) -> bool:
+        """|x| <= bound, for a bound >= 0; NaN counts as within a positive
+        bound, as ``largest`` decides."""
+        return not abs(x) > abs(bound)
 
 
 Field = Union[ExactField, NumericField]

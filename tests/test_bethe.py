@@ -111,7 +111,7 @@ class TestNewton:
 
         inst = a1_two_points(N)
         start = bq.BetheRoots.make(N, [[N([1, 1]), N([1, -1])]])
-        kept = bethe._newton(bethe._system(inst), start, N.tau, bethe._ITERATIONS, None, True, None)
+        kept = bethe._newton(bethe._system(inst), start, N.tau, bethe._ITERATIONS, None, True, None)[0]
         assert [w.imag > 0 for w in kept.roots[0]] == [True, False]
         assert bq.solve_newton(inst, start).roots == kept.canonical(N).roots
         assert [w.imag > 0 for w in kept.canonical(N).roots[0]] == [False, True]
@@ -160,10 +160,10 @@ class TestNewton:
         # the same iteration; past the tolerance a useless one ends the polish
         import betheqq.bethe
 
-        def fake(system, rts, res):
+        def fake(field, system, rts, res, worst):
             if machine == "singular":
                 raise bq.SingularJacobian("machine Jacobian refused")
-            return [0j] * len(res)
+            return [field.zero] * len(res)
 
         inst = bq.QQInstance.make(bq.CartanType("A", 2), N,
                                   [(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)])
@@ -178,6 +178,16 @@ class TestNewton:
         for a, b in zip(roots.roots, expected.roots):
             for w, v in zip(a, b):
                 assert abs(w - v) < N.ctx.mpf("1e-60" if machine == "singular" else "1e-40")
+
+    def test_refinement_beyond_the_float_range(self):
+        # residuals are scaled into the float range before they are rounded:
+        # at 1200 bits the README example refines to its floor, eps max|xi|
+        # (the unscaled floats stalled near 1.5e-324)
+        field = bq.NumericField(1200)
+        inst = a1_two_points(field)
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(field, [[1, 2]]), bq.SolveOptions(seed=1))
+        worst = bq.verify_bethe(inst, roots).max_residual
+        assert worst <= 2 * field.ctx.eps * field.max_abs(inst.xis())
 
     @pytest.mark.parametrize("offset, precisions", [(0, {53}), (10 ** 9, {256})])
     def test_machine_directions_need_resolved_differences(self, offset, precisions):

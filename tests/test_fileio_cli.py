@@ -448,7 +448,7 @@ class TestCliInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line == f"error: unknown family {family!r}"
+        assert line == f"input error: unknown family {family!r}"
 
     def test_zero_pairing_target_exits_2(self, tmp_path, capsys):
         # xi_2 = 0: no scaled continuation path reaches the target twist

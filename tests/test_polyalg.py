@@ -1,6 +1,7 @@
 """Polynomial layer: Wronskians, linear ODE solves, roots, gcd, backends."""
 
 import random
+import struct
 import time
 from fractions import Fraction as Q
 from math import gcd, isqrt
@@ -8,7 +9,10 @@ from math import gcd, isqrt
 import pytest
 
 import betheqq as bq
-from betheqq.polyalg import Poly, RationalFn, _mp_product, solve_linear_system
+from betheqq import polyalg
+from betheqq.bethe import _MACH, _system
+from betheqq.polyalg import Poly, RationalFn, _gauss_jordan, _mp_product, solve_linear_system
+from fixhelp import exact_solved_fixtures, random_bijection_case
 
 F = bq.ExactField()
 
@@ -353,3 +357,129 @@ class TestLinearSolve:
     def test_underdetermined_particular(self):
         sol, defect = solve_linear_system(F, [[1, 1]], [4])
         assert defect == 0 and sol[0] + sol[1] == 4
+
+
+def dense_gauss_jordan(field, rows, rhs):
+    """The former ``_gauss_jordan``: every row update runs over every column
+    from the pivot's on, zeros of the pivot row included; kept as a reference."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    pivot_tol = field.tau * field.max_abs([v for row in rows for v in row])
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        k = field.largest([a[i][c] for i in range(r, m)])
+        if k is None or field.within(a[r + k][c], pivot_tol):
+            continue
+        piv = r + k
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        for i in range(m):
+            if i == r or a[i][c] == 0:
+                continue
+            factor = a[i][c] / inv
+            for j in range(c, n + 1):
+                a[i][j] = a[i][j] - factor * a[r][j]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, piv_cols
+
+
+def bits(v):
+    """A scalar's exact representation: mpf/mpc tuples, float bytes, or a
+    Fraction's numerator and denominator.  Float zeros count as one: a
+    skipped x - f*0 may keep -0.0 where the dense loop gave +0.0, and no
+    result reads the sign of a zero."""
+    if hasattr(v, "_mpc_") or hasattr(v, "_mpf_"):
+        return type(v).__name__, getattr(v, "_mpc_", None) or v._mpf_
+    if isinstance(v, (float, complex)):
+        return type(v).__name__, struct.pack("dd", v.real + 0.0, v.imag + 0.0)
+    return type(v).__name__, v.numerator, v.denominator
+
+
+def assert_same_elimination(field, rows, rhs):
+    fast, fast_piv = _gauss_jordan(field, rows, rhs)
+    dense, dense_piv = dense_gauss_jordan(field, rows, rhs)
+    assert fast_piv == dense_piv
+    assert [[bits(v) for v in row] for row in fast] == [[bits(v) for v in row] for row in dense]
+
+
+def completion_systems(monkeypatch, cases):
+    """Every system ``complete_minus`` eliminates for the (instance, roots) ``cases``."""
+    seen, real = [], polyalg._gauss_jordan
+
+    def spy(field, rows, rhs):
+        seen.append((field, rows, rhs))
+        return real(field, rows, rhs)
+
+    monkeypatch.setattr(polyalg, "_gauss_jordan", spy)
+    for inst, roots in cases:
+        bq.roots_to_solution(inst, roots)
+    monkeypatch.undo()
+    return seen
+
+
+class TestGaussJordanZeroSkips:
+    """Skipping the zero entries of the pivot row changes no bit of the reduction."""
+
+    def test_banded_completion_systems(self, monkeypatch):
+        N = bq.NumericField(256)
+        rng = random.Random(25)
+        cases = [(inst, roots) for inst, roots, _ in exact_solved_fixtures()]
+        for rank in (1, 2, 3, 3):
+            inst, part = random_bijection_case(rng, rank, N)
+            cases.append((inst, bq.seed_and_continue(inst, part)))
+        zero_xi = bq.QQInstance.make(bq.CartanType("A", 1), F, [], [0])  # xi = 0: one more column
+        cases.append((zero_xi, bq.BetheRoots.make(F, [[]])))
+        systems = completion_systems(monkeypatch, cases)
+        banded = [rows for _, rows, _ in systems if any(not v for row in rows for v in row)]
+        assert len(banded) > 10 and any(len(rows[0]) > 2 for rows in banded)
+        for field, rows, rhs in systems:
+            assert_same_elimination(field, rows, rhs)
+
+    @pytest.mark.parametrize("precision", [53, 256])
+    def test_dense_newton_jacobians(self, precision):
+        # A3 with roots of colors 1 and 3 only: those columns do not couple
+        field = bq.NumericField(precision)
+        rng = random.Random(precision)
+        for rank in (2, 3, 3):
+            inst, part = random_bijection_case(rng, rank, field)
+            roots = bq.BetheRoots.make(field, [[w + field("0.01") for w in ws] for ws in part.w_sets])
+            if roots.total() == 0:
+                continue
+            res, _, jac = _system(inst).sweep(roots, jacobian=True)
+            assert_same_elimination(field, jac, res)
+            machine = _system(inst).to(_MACH)
+            rounded = bq.BetheRoots(tuple(tuple(complex(w) for w in c) for c in roots.roots))
+            jac = machine.sweep(rounded, residual=False, jacobian=True)[2]
+            assert_same_elimination(_MACH, jac, [complex(v) for v in res])
+
+    def test_machine_signed_zeros(self):
+        # zero parts of either sign, structural zeros and real entries with a
+        # -0.0 imaginary part: the same reduction up to the signs of zeros
+        rng = random.Random(0)
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        for _ in range(300):
+            n = rng.randint(1, 5)
+
+            def entry():
+                u = rng.random()
+                if u < 0.4:
+                    return rng.choice(zeros)
+                if u < 0.7:
+                    return complex(rng.uniform(-2, 2), rng.choice([0.0, -0.0]))
+                return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+            rows = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n))]
+            assert_same_elimination(_MACH, rows, [entry() for _ in rows])
+
+    def test_exact(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else Q(0)
+                     for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+            assert_same_elimination(F, rows, [Q(rng.randint(-3, 3)) for _ in rows])

@@ -56,6 +56,17 @@ def test_max_abs_is_max_of_abs(prec):
             assert field.within(v, bound) == (exact(z.real) ** 2 + exact(z.imag) ** 2 <= exact(bound) ** 2)
 
 
+def test_machine_within_compares_abs():
+    # floats compare the rounded abs, as largest does
+    machine = bq.scalars.MachineField()
+    rng = random.Random(3)
+    for _ in range(500):
+        x = complex(rng.uniform(-1, 1), rng.choice([0.0, rng.uniform(-1, 1)])) * 2.0 ** rng.randint(-3, 3)
+        bound = rng.choice([abs(x), abs(x) * (1 + 2 ** -52), abs(x) * (1 - 2 ** -52), rng.random()])
+        assert machine.within(x, bound) == (machine.largest([bound, x]) != 1) == (abs(x) <= bound)
+    assert machine.within(0j, 0.0) and not machine.within(1e-300, 0.0) and machine.within(float("nan"), 1.0)
+
+
 def test_other_backends_compare_abs():
     exact, machine = bq.ExactField(), bq.scalars.MachineField()
     assert exact.max_abs([Q(-3, 2), Q(1), Q(0)]) == Q(3, 2) and exact.max_abs([]) == 0
