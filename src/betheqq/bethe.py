@@ -92,7 +92,10 @@ class _System:
     cofactor p with p' and (p'/p)'.  ``diff[a][b] = p_a - p_b`` is formed in
     the instance's field.  A root is an offset from its anchor, an index into
     p: ``anchors`` holds one per root (and then no cofactor), or is None for
-    the origin, as in every public view.  All views evaluate ``equation``."""
+    the origin, as in every public view.  All views evaluate ``equation``.
+    ``real``: every xi_i and difference has imaginary part exactly 0 (the
+    couplings are integers) and there is no cofactor, as ``of`` decides; a
+    system at another scale is not marked real."""
 
     field: Field
     xis: tuple
@@ -101,15 +104,19 @@ class _System:
     couplings: tuple
     extra: tuple
     anchors: tuple | None = None
+    real: bool = False
 
     @staticmethod
     def of(inst: QQInstance) -> "_System":
         """``inst``'s data, a nonconstant cofactor p as ``(p,)``, coerced by ``to``."""
         r, cmat, pts = inst.rank, inst.cartan, (0,) + tuple(z for z, _ in inst.points)
-        return _System(None, inst.xis(), tuple(tuple(a - b for b in pts) for a in pts),
+        xis, diff = inst.xis(), tuple(tuple(a - b for b in pts) for a in pts)
+        extra = tuple(None if e is None or e.degree() == 0 else (e,) for e in inst.extra)
+        real = all(e is None for e in extra) and not any(v.imag for v in (*xis, *(d for row in diff for d in row)))
+        return _System(None, xis, diff,
                        tuple(tuple((k, e[i]) for k, (_, e) in enumerate(inst.points, 1) if e[i]) for i in range(r)),
                        tuple({j: cmat.a(j, i) for j in range(1, r + 1) if cmat.a(j, i)} for i in range(1, r + 1)),
-                       tuple(None if e is None or e.degree() == 0 else (e,) for e in inst.extra)).to(inst.field)
+                       extra, None, real).to(inst.field)
 
     def to(self, f: Field) -> "_System":
         """The same equations with each coefficient coerced to the field
@@ -119,7 +126,7 @@ class _System:
                        tuple(tuple((k, f(e)) for k, e in p) for p in self.poles),
                        tuple({j: f(a) for j, a in c.items()} for c in self.couplings),
                        tuple(p and (p, p.deriv(), RationalFn.make(p.deriv(), p).deriv()) for p in extra),
-                       self.anchors)
+                       self.anchors, self.real)
 
     def at_scale(self, zeta: Sequence, k) -> "_System":
         """The equations at the twist of coroot coordinates ``zeta``, coordinates
@@ -279,7 +286,8 @@ def _machine_direction(field: Field, machine: _System, rts: BetheRoots, res: lis
     machine floats, at the roots rounded to floats.  The residuals are
     scaled by 2^-e, e the exponent of ``worst``, before they are rounded,
     and the direction back by 2^e: both exact, so floats resolve residuals
-    below their range.  SingularJacobian also when the direction is not
+    below their range; an entry of imaginary part 0 is an mpf.
+    SingularJacobian also when the direction is not
     finite or too long, or when some gap of the equations is too small for
     the roots and points."""
     rounded = BetheRoots(tuple(tuple(complex(w) for w in color) for color in rts.roots))
@@ -298,8 +306,45 @@ def _machine_direction(field: Field, machine: _System, rts: BetheRoots, res: lis
         raise SingularJacobian("machine Newton direction is not finite")
     if field.ctx.ldexp(_MACH.max_abs(delta), e) > _STEP_CAP * (1 + _MACH.max_abs(rounded.flat())):
         raise SingularJacobian("Newton step beyond the scale of the roots")
-    make = field.ctx.make_mpc
-    return [make((mpf_shift(from_float(d.real), e), mpf_shift(from_float(d.imag), e))) for d in delta]
+    ctx = field.ctx
+    return [ctx.make_mpc((mpf_shift(from_float(d.real), e), mpf_shift(from_float(d.imag), e))) if d.imag
+            else ctx.make_mpf(mpf_shift(from_float(d.real), e)) for d in delta]
+
+
+def _conjugation(roots: BetheRoots):
+    """The map that makes a flat root list as conjugation-symmetric as
+    ``roots`` is, as BetheRoots, or None.  Within a color, a root whose
+    nearest conjugate among the unmatched roots is another root's, within
+    ``_MACH.tau`` (1 + max|w|), the floats' accuracy at the roots' scale,
+    pairs with it: (w, v) -> (m, conj m), m = (w + conj v)/2.  Else a root
+    within that distance of its own conjugate is real: w -> Re w.  None if
+    some root is neither."""
+    flat = roots.flat()
+    tol = _MACH.tau * (1 + max(map(abs, flat)))
+    reals, pairs, pos = [], [], 0
+    for color in roots.roots:
+        free = list(range(pos, pos + len(color)))
+        pos += len(color)
+        while free:
+            a = free.pop(0)
+            gap, b = min((abs(flat[a] - flat[b].conjugate()), b) for b in [a] + free)  # a itself on a tie
+            if not gap <= tol:
+                return None
+            if b == a:
+                reals.append(a)
+            else:
+                free.remove(b)
+                pairs.append((a, b))
+
+    def symmetric(flat: list) -> BetheRoots:
+        for a in reals:
+            flat[a] = flat[a].real
+        for a, b in pairs:
+            m = (flat[a] + flat[b].conjugate()) / 2
+            flat[a], flat[b] = m, m.conjugate()
+        return roots.replace_flat(flat)
+
+    return symmetric
 
 
 def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
@@ -318,21 +363,29 @@ def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
     The iteration falls back to the full-precision direction when the
     machine one is singular, not finite or too long, or when no damped step
     along it is accepted before convergence; past the tolerance a machine
-    step that fails to halve the residual ends the polish.  The roots come
-    back in the canonical order (``BetheRoots.canonical``).  Log records
-    carry ``context`` and the ``"jacobian_precision"`` of the step's
-    direction (53: machine floats).
+    step that fails to halve the residual ends the polish.  On a real
+    instance (``_System.real``) a start that is conjugation-symmetric up to
+    float accuracy is refined symmetrically: real roots come back as mpf,
+    the others as exact conjugate pairs.  The roots come back in the
+    canonical order (``BetheRoots.canonical``).  Log records carry
+    ``context`` and the ``"jacobian_precision"`` of the step's direction
+    (53: machine floats; None when the call took no step).
     """
     field = inst.field
     return _newton(_system(inst, init), init, field.tau, _ITERATIONS, log, True, context)[0].canonical(field)
 
 
 def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list | None,
-            polish: bool, context: dict | None) -> tuple:
+            polish: bool, context: dict | None, swept: tuple | None = None) -> tuple:
     """Newton on the equations ``system`` to the max residual ``tol``, at
     most ``iterations`` steps, keeping the order of ``init``; ``polish`` as
-    ``solve_newton`` polishes.  Returns the roots and the Jacobian there,
-    formed by the sweeps when there are no machine directions, else None."""
+    ``solve_newton`` polishes.  ``swept``: the sweep of ``init``, if formed.
+    Returns the roots and their sweep ``(residuals, max, Jacobian)``, the
+    Jacobian formed when there are no machine directions, else None.
+
+    On real equations (``_System.real``) over a ``NumericField``, ``init``
+    and each trial step are made as conjugation-symmetric as ``init`` is
+    (``_conjugation``)."""
     field = system.field
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     floor = field.zero if isinstance(field, ExactField) else field.ctx.eps * field.max_abs(system.xis)
@@ -357,7 +410,8 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
         flat = rts.flat()
         for prec, delta in directions(rts, res, worst, jac):
             for alpha in map(damping, _DAMPING[:1] if converged else _DAMPING):
-                trial = rts.replace_flat([w + alpha * d for w, d in zip(flat, delta)])
+                trial = [w + alpha * d for w, d in zip(flat, delta)]
+                trial = symmetric(trial) if symmetric else rts.replace_flat(trial)
                 try:
                     tres, tworst, tjac = system.sweep(trial, jacobian=machine is None)
                 except PoleCollision:
@@ -373,10 +427,13 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
             log.append({"step": it, "max_residual": residual_repr(field, worst), "damping": float(alpha),
                         "precision": field.precision, "jacobian_precision": prec, **extra, **(context or {})})
 
-    rts, prec = init, field.precision
+    rts, prec = init, None  # no step, no Jacobian precision
     if rts.total() == 0:
         return rts, None
-    res, worst, jac = system.sweep(rts, jacobian=machine is None)
+    symmetric = system.real and isinstance(field, NumericField) and _conjugation(init)
+    if symmetric:
+        rts, swept = symmetric(init.flat()), None
+    res, worst, jac = swept or system.sweep(rts, jacobian=machine is None)
     for it in range(iterations + 1):
         converged = worst <= tol
         if converged and (not polish or worst <= floor) or it == iterations:
@@ -391,7 +448,7 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
     if worst > tol:
         raise NoConvergence(f"residual {worst} after {iterations} iterations")
     record(it, worst, 1, prec, converged=True)
-    return rts, jac
+    return rts, (res, worst, jac)
 
 
 # -- infinite qq-system ------------------------------------------------------
@@ -551,10 +608,10 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             k = k / gap
             at = at_scale(t, k)
         tol = _MACH.tau_root * max(_MACH.tau_root, lo * abs(t) / k)
-        roots, jac = _newton(at, roots, tol, iterations, log, False, {"phase": "track", "s": s, "h": h, "k": float(k)})
+        roots, swept = _newton(at, roots, tol, iterations, log, False, {"phase": "track", "s": s, "h": h, "k": float(k)})
         if s == 1:  # polish the endpoint in machine floats, so the refinement starts near their floor
-            roots, jac = _newton(at, roots, tol, _ITERATIONS, log, True, {"phase": "refine"})
-        return roots, k, at, jac
+            roots, swept = _newton(at, roots, tol, _ITERATIONS, log, True, {"phase": "refine"}, swept)
+        return roots, k, at, swept[2]
 
     try:
         top = at_scale(scale(0.0), 1).xis
@@ -592,8 +649,23 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
 
 
+def _q_plus(field: Field, color: Sequence) -> Poly:
+    """Monic q+ with the roots ``color``: ``poly_from_roots`` of the roots
+    outside exact conjugate pairs, times z^2 - 2 Re(m) z + |m|^2 for each
+    exact pair (m, conj m), Im m > 0, in the order of m."""
+    rest, pairs = list(color), []
+    for m in color:
+        if m.imag > 0 and m.conjugate() in rest:
+            rest.remove(m)
+            rest.remove(m.conjugate())
+            pairs.append(m)
+    q = poly_from_roots(field, rest)
+    for m in pairs:
+        q = q * Poly.make(field, [m.real ** 2 + m.imag ** 2, -2 * m.real, 1])
+    return q
+
+
 def roots_to_solution(inst: QQInstance, roots: BetheRoots) -> QQSolution:
-    """Monic q+ from the root sets, then polynomial completion."""
-    field = inst.field
-    q_plus = [poly_from_roots(field, color) for color in roots._matching(inst).roots]
-    return complete_minus(inst, q_plus)
+    """Monic q+ from the root sets, each exact conjugate pair as a real
+    quadratic factor (``_q_plus``), then polynomial completion."""
+    return complete_minus(inst, [_q_plus(inst.field, color) for color in roots._matching(inst).roots])

@@ -1,10 +1,11 @@
 """Bethe residuals, Newton solving, infinite-system seeding, continuation."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 
@@ -266,22 +267,43 @@ class TestNewton:
         assert track[-1]["s"] == 1 and all(0 <= r["s"] <= 1 and r["h"] >= 0 and r["k"] > 0 for r in track)
         precisions = [r["precision"] for r in refine]
         assert set(precisions) == {53, 256} and precisions == sorted(precisions)
-        assert all(r["jacobian_precision"] == 53 for r in log)
+        # the records of one Newton call share phase, s, h, k and precision:
+        # a call that took steps logs them at 53 bits; one that took none,
+        # such as the 256-bit refinement of this real root, logs no precision
+        for _, call in groupby(log, key=lambda r: [r.get(k) for k in ("phase", "s", "h", "k", "precision")]):
+            call = list(call)
+            stepped = any(not r.get("converged") for r in call)
+            assert all(r["jacobian_precision"] == (53 if stepped else None) for r in call)
+        assert refine[-1]["jacobian_precision"] is None and refine[-2]["jacobian_precision"] == 53
 
-    def test_log_residuals_below_float_range(self):
-        # at 2048 bits the polish goes far below 1e-308; the records keep
-        # 8 significant digits there instead of a float that reads 0.0
+    @staticmethod
+    def refine_at_2048_bits(twist):
+        """Solve the A1 pair of a1_two_points at 2048 bits under the twist
+        ``twist``; the field and the max residuals of the refinement records."""
         field = bq.NumericField(2048)
-        inst = a1_two_points(field)
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), field, [(1, (1,)), (2, (1,))], [field(twist)])
         log = []
         roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(field, [[1, 2]]),
                                      bq.SolveOptions(seed=1), log=log)
-        worst = [field.ctx.mpf(r["max_residual"]) for r in log if r["phase"] == "refine"]
         assert all(isinstance(r["max_residual"], str) for r in log)
-        assert all(0 < b <= a for a, b in zip(worst, worst[1:]))
-        assert worst[-1] < field.ctx.mpf("1e-600")
         final = bq.verify_bethe(inst, roots).max_residual
         assert log[-1]["converged"] and log[-1]["max_residual"] == residual_repr(field, final)
+        return field, [field.ctx.mpf(r["max_residual"]) for r in log if r["phase"] == "refine"]
+
+    def test_log_residuals_below_float_range(self):
+        # at 2048 bits the polish goes far below 1e-308; the records keep
+        # 8 significant digits there instead of a float that reads 0.0.  On
+        # this real instance the refinement, in real arithmetic on an exact
+        # conjugate pair, ends on an exactly zero residual
+        field, worst = self.refine_at_2048_bits(Q(3, 4))
+        assert all(0 <= b <= a for a, b in zip(worst, worst[1:])) and worst[-1] == 0
+        assert any(0 < b < field.ctx.mpf("1e-600") for b in worst)
+
+    def test_log_residuals_below_float_range_complex_twist(self):
+        # the same with a complex twist: the residuals stay positive
+        field, worst = self.refine_at_2048_bits([Q(3, 4), Q(1, 2)])
+        assert all(0 < b <= a for a, b in zip(worst, worst[1:]))
+        assert worst[-1] < field.ctx.mpf("1e-600")
 
 
 class TestInfiniteSystem:
@@ -553,6 +575,24 @@ class TestContinuation:
         assert N(refine[0]["max_residual"]) < N("1e-28")
         assert bq.verify_bethe(inst, roots).ok
 
+    def test_polish_starts_from_the_last_sweep(self, monkeypatch):
+        # the endpoint polish takes the residuals and Jacobian on which the
+        # correction at s = 1 ended: no sweep repeats the one before it
+        from betheqq import bethe
+
+        sweep, sweeps = bethe._System.sweep, []
+
+        def spying(system, roots, residual=True, jacobian=False):
+            sweeps.append((id(system), roots))
+            return sweep(system, roots, residual, jacobian)
+
+        monkeypatch.setattr(bethe._System, "sweep", spying)
+        inst = a1_two_points(N)
+        log = []
+        bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[1, 2]]), bq.SolveOptions(seed=1), log=log)
+        assert any(r["phase"] == "refine" and r["precision"] == 53 for r in log)
+        assert all(a != b for a, b in zip(sweeps, sweeps[1:]))
+
     def test_exact_path_needs_no_newton(self):
         # one point and one root: u = -1/(xi t) exactly, which the predictor
         # for t u extrapolates without error, so every correction converges
@@ -593,6 +633,65 @@ class TestContinuation:
         inst = a1_two_points(F)
         with pytest.raises(bq.NoConvergence):
             bq.seed_and_continue(inst, bq.InfinitePartition.make(F, [[1]]))
+
+
+class TestRealInstances:
+    """Real points and twist: the refinement keeps real roots real."""
+
+    def test_solved_roots_are_real_or_exact_pairs(self):
+        # every root is an mpf, or a non-real root whose exact conjugate is a
+        # root of its color; q+ and q- then have real coefficients
+        cases = [(a1_two_points(N), bq.InfinitePartition.make(N, ws), 1) for ws in ([[1]], [[2]], [[1, 2]])]
+        cases += [(*random_bijection_case(random.Random(9000 + k), k % 3 + 1, N), k) for k in range(12)]
+        pairs = 0
+        for inst, part, seed in cases:
+            roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=seed))
+            assert bq.verify_bethe(inst, roots).ok
+            for color in roots.roots:
+                for w in color:
+                    assert type(w) is N.ctx.mpf or (w.imag != 0 and w.conjugate() in color), (seed, w)
+                pairs += sum(1 for w in color if w.imag > 0)
+            sol = bq.roots_to_solution(inst, roots)
+            assert all(c.imag == 0 for q in sol.q_plus + sol.q_minus for c in q.coeffs)
+        assert pairs  # the turning-point branch of a1_two_points
+
+    @pytest.mark.parametrize("spread", [1.01, 2.02])
+    def test_near_real_pair_stays_a_pair(self, spread):
+        # the conjugate pair 5/6 +- i sqrt(7)/6 of a1_two_points, shifted so
+        # far out that |w - conj w| (spread 1.01) or |Im w| (2.02) is just
+        # above the tolerance of the projection, _MACH.tau (1 + max|w|): it
+        # is refined as an exact pair, not put on the real line; a lone root
+        # that far off the line is not projected at all
+        from betheqq import bethe
+
+        im, tau = N.ctx.sqrt(7) / 6, bethe._MACH.tau
+        shift = int(2 * im / (spread * tau)) - 2
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(shift + 1, (1,)), (shift + 2, (1,))], [Q(3, 4)])
+        start = bq.BetheRoots.make(N, [[N(shift) + N([Q(5, 6) + Q(1, 1000), "0.44"]),
+                                        N(shift) + N([Q(5, 6) - Q(1, 1000), "-0.441"])]])
+        assert 1 < 2 * im / (spread * tau * (1 + N.max_abs(start.flat()))) < 1.001
+        w, v = bq.solve_newton(inst, start).roots[0]
+        assert v == w.conjugate() and abs(v.imag - im) < N.ctx.mpf("1e-60")
+        lone = bq.BetheRoots(((start.roots[0][0],),))
+        assert bethe._conjugation(lone) is None
+
+    def test_non_real_instances_solve_as_before(self):
+        # a complex marked point or a complex twist: the equations are not
+        # real, so roots, q+ and q- are those of the complex refinement bit
+        # for bit (digest of the mpmath tuples, taken before real instances
+        # refined in real arithmetic)
+        digest = hashlib.sha256()
+        i = N([0, 1])
+        cases = [([(0, (1, 0)), (3 + i / 2, (0, 1))], [Q(2, 3), Q(1, 5)], [[0], [3 + i / 2]]),
+                 ([(0, (1, 0)), (3, (0, 1)), (1, (1, 0))], [Q(2, 3) + i / 7, Q(1, 5)], [[0, 1], [3]]),
+                 ([(1, (1,)), (2, (1,))], [Q(3, 4) + i / 2], [[1, 2]])]
+        for points, twist, w_sets in cases:
+            inst = bq.QQInstance.make(bq.CartanType("A", len(twist)), N, points, twist)
+            roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, w_sets), bq.SolveOptions(seed=3))
+            sol = bq.roots_to_solution(inst, roots)
+            for v in roots.flat() + [c for q in sol.q_plus + sol.q_minus for c in q.coeffs]:
+                digest.update(repr(getattr(v, "_mpc_", None) or v._mpf_).encode())
+        assert digest.hexdigest()[:16] == "05e658ee7d356b60"
 
 
 class TestRoundTrip:
