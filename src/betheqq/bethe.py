@@ -19,13 +19,13 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache, partial
 from typing import Sequence
 
 from mpmath.libmp import from_float, fzero, mpc_shift, mpc_to_complex, mpf_shift, round_nearest
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
-from .polyalg import Poly, RationalFn, _gauss_jordan, _near, poly_from_roots
+from .polyalg import Poly, RationalFn, _factor, _near, _solve, poly_from_roots
 from .qqcore import QQInstance, QQSolution, build_lambdas, complete_minus, neighbor_product
 from .scalars import ExactField, Field, MachineField, NumericField, residual_repr
 
@@ -268,43 +268,52 @@ _MACH = MachineField()
 _MACH_SPREAD = _MACH.tau_root ** 0.5 / _MACH.tau
 
 
-def _newton_direction(field: Field, jac: list, rhs: list, flat: list | None = None) -> list:
-    """Solve ``jac x = rhs`` by the one Gauss-Jordan elimination; with the
+def _newton_direction(field: Field, factored, rhs: list, flat: list | None = None) -> list:
+    """Solve ``jac x = rhs`` on ``factored = _factor(field, jac)``; with the
     roots ``flat``, an x beyond ``_STEP_CAP`` (1 + max|w|) counts as singular."""
-    a, pivots = _gauss_jordan(field, jac, rhs)
+    jac, pivots, _ = factored
     if len(pivots) < len(rhs):
         raise SingularJacobian(f"Jacobian of rank {len(pivots)} < {len(rhs)}")
-    x = [row[-1] / row[c] for row, c in zip(a, pivots)]
+    x = [v / row[c] for v, row, c in zip(_solve(factored, rhs), jac, pivots)]
     if flat is not None and not field.max_abs(x) <= _STEP_CAP * (1 + field.max_abs(flat)):
         raise SingularJacobian("Newton step beyond the scale of the roots")
     return x
 
 
-def _machine_direction(field: Field, machine: _System, rts: BetheRoots, res: list, worst) -> list:
+def _machine_factors(machine: _System, rounded: tuple) -> tuple:
+    """``(factored Jacobian, step bound)`` of ``machine`` at the float roots
+    ``rounded`` (equal floats, equal bits: mpmath has no -0), or ``(None, why)``:
+    a gap too small for the roots and points, or a failed float Jacobian."""
+    flat = [w for color in rounded for w in color]
+    top = max(map(abs, flat + list(machine.diff[0])))
+    if any(abs(g) * _MACH_SPREAD < top for g in machine.gaps(rounded)):
+        return None, "roots too close for their magnitude in machine floats"
+    try:
+        factored = _factor(_MACH, machine.sweep(BetheRoots(rounded), residual=False, jacobian=True)[2])
+    except (ZeroDivisionError, OverflowError) as exc:
+        return None, f"machine Jacobian failed: {exc}"
+    return factored, _STEP_CAP * (1 + _MACH.max_abs(flat))
+
+
+def _machine_direction(field: Field, factors, rts: BetheRoots, res: list, worst) -> list:
     """The Newton direction in ``field`` for the residuals ``res`` (max
-    ``worst``) at ``rts`` from the Jacobian of ``machine``, the equations in
-    machine floats, at the roots rounded to floats.  The residuals are
-    scaled by 2^-e, e the exponent of ``worst``, before they are rounded,
-    and the direction back by 2^e: both exact, so floats resolve residuals
-    below their range; an entry of imaginary part 0 is an mpf.
-    SingularJacobian also when the direction is not
-    finite or too long, or when some gap of the equations is too small for
-    the roots and points."""
-    rounded = BetheRoots(tuple(tuple(complex(w) for w in color) for color in rts.roots))
-    top = max(map(abs, rounded.flat() + list(machine.diff[0])))
-    if any(abs(g) * _MACH_SPREAD < top for g in machine.gaps(rounded.roots)):
-        raise SingularJacobian("roots too close for their magnitude in machine floats")
+    ``worst``) at ``rts`` from ``factors``, ``_machine_factors`` of the
+    equations in machine floats at the roots rounded to floats.  The
+    residuals are scaled by 2^-e, e the exponent of ``worst``, before they
+    are rounded, and the direction back by 2^e: both exact, so floats
+    resolve residuals below their range; an entry of imaginary part 0 is an
+    mpf.  SingularJacobian when ``factors`` refuses or the direction is too long or not finite."""
+    factored, cap = factors(tuple(tuple(complex(w) for w in color) for color in rts.roots))
+    if factored is None:
+        raise SingularJacobian(cap)
     man, exp = worst.man_exp
     e = exp + man.bit_length()
     rhs = [-mpc_to_complex(mpc_shift(getattr(v, "_mpc_", None) or (v._mpf_, fzero), -e), rnd=round_nearest)
            for v in res]
-    try:
-        delta = _newton_direction(_MACH, machine.sweep(rounded, residual=False, jacobian=True)[2], rhs)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise SingularJacobian(f"machine Jacobian failed: {exc}") from None
+    delta = _newton_direction(_MACH, factored, rhs)
     if not all(map(cmath.isfinite, delta)):
         raise SingularJacobian("machine Newton direction is not finite")
-    if field.ctx.ldexp(_MACH.max_abs(delta), e) > _STEP_CAP * (1 + _MACH.max_abs(rounded.flat())):
+    if field.ctx.ldexp(_MACH.max_abs(delta), e) > cap:
         raise SingularJacobian("Newton step beyond the scale of the roots")
     ctx = field.ctx
     return [ctx.make_mpc((mpf_shift(from_float(d.real), e), mpf_shift(from_float(d.imag), e))) if d.imag
@@ -365,9 +374,9 @@ def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
     along it is accepted before convergence; past the tolerance a machine
     step that fails to halve the residual ends the polish.  On a real
     instance (``_System.real``) a start that is conjugation-symmetric up to
-    float accuracy is refined symmetrically: real roots come back as mpf,
-    the others as exact conjugate pairs.  The roots come back in the
-    canonical order (``BetheRoots.canonical``).  Log records carry
+    float accuracy is refined symmetrically, real roots as mpf and the
+    others as exact pairs; if that fails, once more in complex arithmetic.
+    The roots come back in canonical order (``BetheRoots.canonical``).  Log records carry
     ``context`` and the ``"jacobian_precision"`` of the step's direction
     (53: machine floats; None when the call took no step).
     """
@@ -385,22 +394,24 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
 
     On real equations (``_System.real``) over a ``NumericField``, ``init``
     and each trial step are made as conjugation-symmetric as ``init`` is
-    (``_conjugation``)."""
+    (``_conjugation``); if that raises NoConvergence or SingularJacobian,
+    Newton runs once more from ``init`` as given, in complex arithmetic."""
     field = system.field
     machine = system.to(_MACH) if isinstance(field, NumericField) and field.precision > 53 else None
     floor = field.zero if isinstance(field, ExactField) else field.ctx.eps * field.max_abs(system.xis)
     damping = cache(field)  # each damped step length coerced once per call, when first tried
+    factors = machine and lru_cache(1)(partial(_machine_factors, machine))  # for the last rounded roots
 
     def directions(rts, res, worst, jac):  # jac: the field's Jacobian at rts, if formed
         """``(jacobian precision, direction)`` in the order they are tried."""
         try:
-            delta = machine and _machine_direction(field, machine, rts, res, worst)
+            delta = factors and _machine_direction(field, factors, rts, res, worst)
         except SingularJacobian:
             delta = None
         if delta:
             yield 53, delta
         jac = jac or system.sweep(rts, residual=False, jacobian=True)[2]
-        yield field.precision, _newton_direction(field, jac, [-v for v in res], rts.flat())
+        yield field.precision, _newton_direction(field, _factor(field, jac), [-v for v in res], rts.flat())
 
     def step(rts, res, worst, jac, converged):
         """The first accepted ``(roots, residuals, max, Jacobian, damping,
@@ -427,28 +438,34 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
             log.append({"step": it, "max_residual": residual_repr(field, worst), "damping": float(alpha),
                         "precision": field.precision, "jacobian_precision": prec, **extra, **(context or {})})
 
-    rts, prec = init, None  # no step, no Jacobian precision
-    if rts.total() == 0:
-        return rts, None
+    def run(rts, swept):
+        res, worst, jac = swept or system.sweep(rts, jacobian=machine is None)
+        prec = None  # no step, no Jacobian precision
+        for it in range(iterations + 1):
+            converged = worst <= tol
+            if converged and (not polish or worst <= floor) or it == iterations:
+                break
+            taken = step(rts, res, worst, jac, converged)
+            if taken is None:
+                if converged:
+                    break
+                raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
+            rts, res, worst, jac, alpha, prec = taken
+            record(it, worst, alpha, prec)
+        if worst > tol:
+            raise NoConvergence(f"residual {worst} after {iterations} iterations")
+        record(it, worst, 1, prec, converged=True)
+        return rts, (res, worst, jac)
+
+    if init.total() == 0:
+        return init, None
     symmetric = system.real and isinstance(field, NumericField) and _conjugation(init)
     if symmetric:
-        rts, swept = symmetric(init.flat()), None
-    res, worst, jac = swept or system.sweep(rts, jacobian=machine is None)
-    for it in range(iterations + 1):
-        converged = worst <= tol
-        if converged and (not polish or worst <= floor) or it == iterations:
-            break
-        taken = step(rts, res, worst, jac, converged)
-        if taken is None:
-            if converged:
-                break
-            raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
-        rts, res, worst, jac, alpha, prec = taken
-        record(it, worst, alpha, prec)
-    if worst > tol:
-        raise NoConvergence(f"residual {worst} after {iterations} iterations")
-    record(it, worst, 1, prec, converged=True)
-    return rts, (res, worst, jac)
+        try:
+            return run(symmetric(init.flat()), None)
+        except (NoConvergence, SingularJacobian):
+            symmetric = None  # once more, from the start as given, in complex arithmetic
+    return run(init, swept)
 
 
 # -- infinite qq-system ------------------------------------------------------
@@ -626,7 +643,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                 # at the roots, from ``correct``)
                 dlog = ctx.mpc(-ctx.log(t_top), bump * (1 - 2 * s))  # (dt/ds) / t
                 rhs = [-xi * dlog for xi, color in zip(at.xis, roots.roots) for _ in color]
-                tangent = _newton_direction(_MACH, jac, rhs)
+                tangent = _newton_direction(_MACH, _factor(_MACH, jac), rhs)
                 gaps = list(at.gaps(roots.roots))
             # v = t u linearly in s: u(nxt) = (u + h (u' + u dlog)) t(s) / t(nxt)
             nxt = min(1.0, s + h)

@@ -206,11 +206,12 @@ def _mp_parts(ctx: MPContext, coeffs: Sequence):
 
 def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
     """Coefficients of the product of two nonzero coefficient vectors of
-    real ``ctx`` scalars, as a trimmed tuple of mpc; None when
-    :func:`_mp_parts` rejects an operand, complex ones included.
+    real ``ctx`` scalars, as a trimmed tuple; None when :func:`_mp_parts`
+    rejects an operand, complex ones included.
 
-    Bit for bit the loop ``out[i + j] = out[i + j] + a[i] * b[j]`` over
-    mpc values, on integer mantissas: each coefficient adds its terms in
+    Bit for bit and type for type the loop ``out[i + j] = out[i + j] +
+    a[i] * b[j]`` from the field's mpf zero (an mpc where some term has an
+    mpc factor), on integer mantissas: each coefficient adds its terms in
     order of increasing ``i``.  A term is its exact product rounded once,
     then added to the accumulator with one more rounding, both to nearest
     with ties to even as mpmath's ``mpf_mul`` and ``mpf_add`` round them.
@@ -260,8 +261,10 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
         out.append((rm, re))
     while out and not out[-1][0]:
         out.pop()
-    make = ctx.make_mpc
-    return tuple(make((from_man_exp(rm, re), fzero)) for rm, re in out)
+    ia, ib = ([i for i, c in enumerate(v) if type(c) is ctx.mpc] for v in (a, b))
+    cx = {i + j for i in ia for j in range(nb)} | {i + j for j in ib for i in range(na)}  # a term has an mpc factor
+    return tuple(ctx.make_mpc((from_man_exp(rm, re), fzero)) if k in cx else ctx.make_mpf(from_man_exp(rm, re))
+                 for k, (rm, re) in enumerate(out))
 
 
 def chop(p: Poly) -> Poly:
@@ -537,23 +540,21 @@ def log_deriv(p: Poly) -> RationalFn:
 # -- dense linear solves ---------------------------------------------------
 
 
-def _gauss_jordan(field: Field, rows: list[list], rhs: list):
-    """Gauss-Jordan elimination of ``[rows | rhs]`` under the pivot policy
-    of :func:`solve_linear_system`; entries must be scalars of ``field``.
-
-    Returns ``(reduced, pivots)``: the reduced augmented rows (a copy) and
-    the pivot columns in increasing order, row k holding the pivot of
-    column ``pivots[k]``.  A column with no admissible pivot is skipped.
-    """
+def _factor(field: Field, rows: list[list]):
+    """Gauss-Jordan elimination of ``rows``, scalars of ``field``, under the
+    pivot policy of :func:`solve_linear_system`: ``(reduced, pivots, steps)``,
+    the reduced rows (a copy), the pivot columns in increasing order, row k
+    holding the pivot of column ``pivots[k]`` (a column with no admissible
+    pivot is skipped), and per pivot the row swapped in and the row factors."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    a = [list(row) for row in rows]
     pivot_tol = field.tau * field.max_abs([v for row in rows for v in row if v])
     # x - f*0 is x up to the sign of a float zero, so zero entries of the
     # pivot row are skipped
-    piv_cols = []
-    r = 0
+    piv_cols, steps = [], []
     for c in range(n):
+        r = len(piv_cols)
         k = field.largest([a[i][c] for i in range(r, m)])
         if k is None or field.within(a[r + k][c], pivot_tol):
             continue
@@ -561,28 +562,37 @@ def _gauss_jordan(field: Field, rows: list[list], rhs: list):
         a[r], a[piv] = a[piv], a[r]
         top = a[r]
         inv = top[c]
-        cols = [j for j in range(c, n + 1) if top[j]]
-        for i in range(m):
+        cols = [j for j in range(c, n) if top[j]]
+        factors = [(i, a[i][c] / inv) for i in range(m) if i != r and a[i][c]]
+        for i, factor in factors:
             row = a[i]
-            if i == r or not row[c]:
-                continue
-            factor = row[c] / inv
             for j in cols:
                 row[j] = row[j] - factor * top[j]
         piv_cols.append(c)
-        r += 1
-        if r == m:
+        steps.append((piv, factors))
+        if r + 1 == m:
             break
-    return a, piv_cols
+    return a, piv_cols, steps
+
+
+def _solve(factored, rhs: list) -> list:
+    """``rhs`` under the swaps and row factors of ``factored = _factor(field, rows)``:
+    bit for bit the last column of the elimination of ``[rows | rhs]``."""
+    b = list(rhs)
+    for r, (piv, factors) in enumerate(factored[2]):
+        b[r], b[piv] = b[piv], b[r]
+        for i, factor in factors if b[r] else ():  # a zero b[r] changes no row
+            b[i] = b[i] - factor * b[r]
+    return b
 
 
 def solve_linear_system(field: Field, rows: list[list], rhs: list):
     """Gaussian elimination with partial pivoting over the scalar field.
 
-    The package's one elimination and pivot policy, shared with Newton's
-    linear solves: a pivot is the largest entry of its column and must
-    exceed ``tau * ||rows||`` (relative, at any scale of the matrix) on the
-    numeric backend, or be nonzero on the exact one.
+    The package's one elimination, :func:`_factor` then :func:`_solve`, as
+    Newton's directions run it: a pivot is the largest entry of its column
+    and must exceed ``tau * ||rows||`` (relative, at any scale of the
+    matrix) on the numeric backend, or be nonzero on the exact one.
 
     Returns ``(solution, defect)`` where ``solution`` sets free variables to
     zero and ``defect`` is the max residual magnitude of the eliminated
@@ -590,12 +600,12 @@ def solve_linear_system(field: Field, rows: list[list], rhs: list):
     None when the system is structurally inconsistent on the exact backend.
     """
     n = len(rows[0]) if rows else 0
-    a, piv_cols = _gauss_jordan(field, [[field(v) for v in row] for row in rows],
-                                [field(v) for v in rhs])
-    defect = field.max_abs([row[n] for row in a[len(piv_cols):]])  # rows with no pivot
+    a, piv_cols, _ = factored = _factor(field, [[field(v) for v in row] for row in rows])
+    b = _solve(factored, [field(v) for v in rhs])
+    defect = field.max_abs(b[len(piv_cols):])  # rows with no pivot
     if isinstance(field, ExactField) and defect != 0:
         return None, defect
     sol = [field.zero] * n
-    for row, c in zip(a, piv_cols):
-        sol[c] = row[n] / row[c]
+    for k, c in enumerate(piv_cols):
+        sol[c] = b[k] / a[k][c]
     return sol, defect

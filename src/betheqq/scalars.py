@@ -32,6 +32,7 @@ Scalar = Union[Fraction, Any]  # Fraction, or mpf/mpc bound to a NumericField
 
 #: default binary precision of the numeric backend
 DEFAULT_PRECISION = 256
+_LOW = float("-inf")  #: the top binary exponent ``NumericField.largest`` gives 0
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -43,16 +44,6 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
-
-
-def _square(v):
-    """Exact |v|^2 of a finite mpf or mpc as the pair ``(man, exp)`` of
-    integers, else None."""
-    a, b = getattr(v, "_mpc_", None) or (getattr(v, "_mpf_", None), fzero)
-    if a is None or (a[2] and not a[1]) or (b[2] and not b[1]):  # not an mpf, or inf/nan
-        return None
-    low = min(a[2], b[2])
-    return ((a[1] ** 2) << 2 * (a[2] - low)) + ((b[1] ** 2) << 2 * (b[2] - low)), 2 * low
 
 
 class _Magnitudes:
@@ -158,8 +149,8 @@ class NumericField(_Magnitudes):
         )
         if not (self.tau > 0 and self.tau_root > 0):
             raise ValueError("tolerances tau and tau_root must be positive")
-        self.zero = ctx.mpc(0)
-        self.one = ctx.mpc(1)
+        self.zero = ctx.mpf(0)
+        self.one = ctx.mpf(1)
         self._own = (ctx.mpf, ctx.mpc)
 
     def __call__(self, value):
@@ -200,18 +191,25 @@ class NumericField(_Magnitudes):
         return abs(x)
 
     def largest(self, values):
-        """Index of the first nonzero value of largest magnitude, or None.
-
-        Compares exact squared magnitudes: the answer of comparing ``abs``
-        (a rounded hypot, monotone in the exact square) with no square root.
-        """
-        keys = [_square(v) for v in values]
-        if not keys or None in keys:
-            return _Magnitudes.largest(self, values)
-        low = min(e for _, e in keys)
-        mags = [m << (e - low) for m, e in keys]
-        top = max(mags)
-        return mags.index(top) if top else None
+        """Index of the first nonzero value of largest magnitude, or None, as
+        ``abs`` (a rounded hypot, monotone in the exact square) decides it,
+        with no square root.  Parts below 2^t, one at least 2^(t-1), make a
+        magnitude in [2^(t-1), 2^(t+1/2)): so a value whose t is 2 or more
+        below the top one is smaller, and the rest compare exact squares."""
+        parts, tops = [], []
+        for v in values:
+            a, b = getattr(v, "_mpc_", None) or (getattr(v, "_mpf_", None), fzero)
+            if a is None or (a[2] and not a[1]) or (b[2] and not b[1]):  # not an mpf, or inf/nan
+                return _Magnitudes.largest(self, values)
+            tops.append(max(a[2] + a[3] if a[1] else _LOW, b[2] + b[3] if b[1] else _LOW))
+            parts.append((a, b))
+        hi = max(tops, default=_LOW)
+        near = [i for i, t in enumerate(tops) if t >= hi - 1] if hi != _LOW else []
+        if len(near) < 2:
+            return near[0] if near else None
+        low = min(p[2] for i in near for p in parts[i])  # exact squares (m 2^e)^2, to a common exponent
+        mags = [sum(p[1] ** 2 << 2 * (p[2] - low) for p in parts[i]) for i in near]
+        return near[mags.index(max(mags))]
 
     def to_literal(self, x):
         """Decimal string(s) carrying the full stored precision."""

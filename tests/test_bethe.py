@@ -180,6 +180,35 @@ class TestNewton:
             for w, v in zip(a, b):
                 assert abs(w - v) < N.ctx.mpf("1e-60" if machine == "singular" else "1e-40")
 
+    def test_one_factorization_per_rounded_root_set(self, monkeypatch):
+        # the README A1 example: the 256-bit refinement factors the machine
+        # Jacobian once for each set of roots rounded to floats, and reuses
+        # it while the rounded roots repeat
+        import betheqq.bethe
+
+        direction, factor = betheqq.bethe._machine_direction, betheqq.bethe._factor
+        rounded, factored, inside = [], [], []
+
+        def spying_direction(field, factors, rts, res, worst):
+            rounded.append(tuple(complex(w) for w in rts.flat()))
+            inside.append(True)
+            try:
+                return direction(field, factors, rts, res, worst)
+            finally:
+                inside.pop()
+
+        def spying_factor(field, rows):
+            if inside:
+                factored.append(rounded[-1])
+            return factor(field, rows)
+
+        monkeypatch.setattr(betheqq.bethe, "_machine_direction", spying_direction)
+        monkeypatch.setattr(betheqq.bethe, "_factor", spying_factor)
+        inst = a1_two_points(N)
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[1, 2]]), bq.SolveOptions(seed=1))
+        assert bq.verify_bethe(inst, roots).ok
+        assert len(factored) == len(set(factored)) == len(set(rounded)) < len(rounded)
+
     def test_refinement_beyond_the_float_range(self):
         # residuals are scaled into the float range before they are rounded:
         # at 1200 bits the README example refines to its floor, eps max|xi|
@@ -501,7 +530,7 @@ class TestContinuation:
         import betheqq.bethe
 
         jacobian, sweep, eliminate = (betheqq.bethe.bethe_jacobian, betheqq.bethe._System.sweep,
-                                      betheqq.bethe._gauss_jordan)
+                                      betheqq.bethe._factor)
         jacobians, residuals = [], []
 
         def counting_jacobian(inst, roots):
@@ -514,14 +543,14 @@ class TestContinuation:
                 (jacobians if jacobian else residuals).append(roots)
             return sweep(system, roots, residual, jacobian)
 
-        def counting_elimination(field, rows, rhs):
+        def counting_elimination(field, rows):
             if field.precision == 256:
                 jacobians.append(rows)
-            return eliminate(field, rows, rhs)
+            return eliminate(field, rows)
 
         monkeypatch.setattr(betheqq.bethe, "bethe_jacobian", counting_jacobian)
         monkeypatch.setattr(betheqq.bethe._System, "sweep", counting_sweep)
-        monkeypatch.setattr(betheqq.bethe, "_gauss_jordan", counting_elimination)
+        monkeypatch.setattr(betheqq.bethe, "_factor", counting_elimination)
         cases = [([(0, (1, 0)), (3, (0, 1))], [[0], [3]], 3)]
         cases += [([(0, (1, 0)), (N(d), (0, 1)), (1, (1, 0))], [[0], [N(d)]], 1) for d in ("1e-9", "1e-12")]
         for points, w_sets, seed in cases:
@@ -675,11 +704,47 @@ class TestRealInstances:
         lone = bq.BetheRoots(((start.roots[0][0],),))
         assert bethe._conjugation(lone) is None
 
+    def test_real_solutions_have_mpf_coefficients(self):
+        # real roots and exact pairs give real q+, and the completion keeps
+        # them real: every coefficient of q+ and q- is an mpf, none an mpc
+        cases = [(a1_two_points(N), bq.InfinitePartition.make(N, ws), 1) for ws in ([[1]], [[2]], [[1, 2]])]
+        cases += [(*random_bijection_case(random.Random(9100 + k), k % 3 + 1, N), k) for k in range(6)]
+        for inst, part, seed in cases:
+            sol = bq.roots_to_solution(inst, bq.seed_and_continue(inst, part, bq.SolveOptions(seed=seed)))
+            assert bq.residuals_vanish(inst, sol)
+            assert {type(c) for q in sol.q_plus + sol.q_minus for c in q.coeffs} == {N.ctx.mpf}, seed
+
+    def test_complex_fallback(self, monkeypatch):
+        # a symmetric refinement that does not converge is retried once from
+        # the start as given, in complex arithmetic: here every trial the
+        # projection makes is spoiled by a shift of 1/10
+        from betheqq import bethe
+
+        conjugation, spoiled = bethe._conjugation, []
+
+        def spoiling(roots):
+            symmetric = conjugation(roots)
+
+            def spoil(flat):
+                spoiled.append(len(flat))
+                return symmetric([w + N("0.1") for w in flat])
+
+            return symmetric and spoil
+
+        inst, part = a1_two_points(N), bq.InfinitePartition.make(N, [[1, 2]])
+        expected = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=1))
+        monkeypatch.setattr(bethe, "_conjugation", spoiling)
+        roots = bq.seed_and_continue(inst, part, bq.SolveOptions(seed=1))
+        assert spoiled and bq.verify_bethe(inst, roots).ok
+        assert any(type(w) is N.ctx.mpc for w in roots.flat())  # complex arithmetic, not the projection
+        for w, v in zip(roots.flat(), expected.flat()):
+            assert abs(w - v) < N.ctx.mpf("1e-60")
+
     def test_non_real_instances_solve_as_before(self):
         # a complex marked point or a complex twist: the equations are not
         # real, so roots, q+ and q- are those of the complex refinement bit
-        # for bit (digest of the mpmath tuples, taken before real instances
-        # refined in real arithmetic)
+        # for bit (digest of the (re, im) mpf tuples, an mpf as (x, 0), taken
+        # before real instances refined in real arithmetic)
         digest = hashlib.sha256()
         i = N([0, 1])
         cases = [([(0, (1, 0)), (3 + i / 2, (0, 1))], [Q(2, 3), Q(1, 5)], [[0], [3 + i / 2]]),
@@ -690,7 +755,7 @@ class TestRealInstances:
             roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, w_sets), bq.SolveOptions(seed=3))
             sol = bq.roots_to_solution(inst, roots)
             for v in roots.flat() + [c for q in sol.q_plus + sol.q_minus for c in q.coeffs]:
-                digest.update(repr(getattr(v, "_mpc_", None) or v._mpf_).encode())
+                digest.update(repr(getattr(v, "_mpc_", None) or (v._mpf_, (0, 0, 0, 0))).encode())
         assert digest.hexdigest()[:16] == "05e658ee7d356b60"
 
 

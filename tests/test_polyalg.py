@@ -11,7 +11,7 @@ import pytest
 import betheqq as bq
 from betheqq import polyalg
 from betheqq.bethe import _MACH, _system
-from betheqq.polyalg import Poly, RationalFn, _gauss_jordan, _mp_product, solve_linear_system
+from betheqq.polyalg import Poly, RationalFn, _factor, _mp_product, _solve, solve_linear_system
 from fixhelp import exact_solved_fixtures, random_bijection_case
 
 F = bq.ExactField()
@@ -244,7 +244,7 @@ class TestNumericProduct:
             q = self.rand_poly(rng, field, rng.choice(mixes), rng.randint(0, 5))
             got, want = p * q, scalar_product(p, q)
             assert raw_bits(got) == raw_bits(want), (prec, trial)
-            assert all(type(c) is field.ctx.mpc for c in got.coeffs)
+            assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), (prec, trial)
 
     def test_kernel_takes_real_operands_only(self):
         # real operands run the integer kernel; a complex entry takes the scalar loop
@@ -400,22 +400,42 @@ def bits(v):
     return type(v).__name__, v.numerator, v.denominator
 
 
-def assert_same_elimination(field, rows, rhs):
-    fast, fast_piv = _gauss_jordan(field, rows, rhs)
-    dense, dense_piv = dense_gauss_jordan(field, rows, rhs)
-    assert fast_piv == dense_piv
-    assert [[bits(v) for v in row] for row in fast] == [[bits(v) for v in row] for row in dense]
+def value_bits(v):
+    """``bits`` without the type: an entry the zero skips leave alone stays
+    an mpf (a float) where the reference's x - f*0, f complex, makes an mpc
+    (a complex) of the same value."""
+    if hasattr(v, "_mpc_") or hasattr(v, "_mpf_"):
+        return getattr(v, "_mpc_", None) or (v._mpf_, (0, 0, 0, 0))
+    return bits(complex(v) if isinstance(v, float) else v)[1:]
+
+
+def assert_same_elimination(field, rows, *rhss, key=bits):
+    """``_factor`` once, then ``_solve`` for each of ``rhss``: the rows and each
+    solved right-hand side are the reference's elimination of ``[rows | rhs]``,
+    compared by ``key``."""
+    factored = _factor(field, rows)
+    reduced, pivots, _ = factored
+    for rhs in rhss:
+        fast = [row + [b] for row, b in zip(reduced, _solve(factored, rhs))]
+        dense, dense_piv = dense_gauss_jordan(field, rows, rhs)
+        assert pivots == dense_piv
+        assert [[key(v) for v in row] for row in fast] == [[key(v) for v in row] for row in dense]
 
 
 def completion_systems(monkeypatch, cases):
     """Every system ``complete_minus`` eliminates for the (instance, roots) ``cases``."""
-    seen, real = [], polyalg._gauss_jordan
+    seen, factor, solve = [], polyalg._factor, polyalg._solve
 
-    def spy(field, rows, rhs):
-        seen.append((field, rows, rhs))
-        return real(field, rows, rhs)
+    def factor_spy(field, rows):
+        seen.append((field, rows))
+        return factor(field, rows)
 
-    monkeypatch.setattr(polyalg, "_gauss_jordan", spy)
+    def solve_spy(factored, rhs):
+        seen[-1] += (rhs,)
+        return solve(factored, rhs)
+
+    monkeypatch.setattr(polyalg, "_factor", factor_spy)
+    monkeypatch.setattr(polyalg, "_solve", solve_spy)
     for inst, roots in cases:
         bq.roots_to_solution(inst, roots)
     monkeypatch.undo()
@@ -483,3 +503,63 @@ class TestGaussJordanZeroSkips:
             rows = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else Q(0)
                      for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
             assert_same_elimination(F, rows, [Q(rng.randint(-3, 3)) for _ in rows])
+
+
+def random_entries(field, rng):
+    """A draw of nonzero scalars of ``field``: rationals on ``ExactField``,
+    real and complex values at mixed scales on the numeric fields."""
+    if isinstance(field, bq.ExactField):
+        return lambda: Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    cplx = field.ctx.mpc if field.precision > 53 else complex
+
+    def entry():
+        re = field(rng.uniform(-2, 2)) * 2 ** rng.randint(-40, 40)
+        return re if rng.random() < 0.5 else cplx(re, field(rng.uniform(-2, 2)))
+
+    return entry
+
+
+class TestFactorSolve:
+    """One ``_factor``, then ``_solve`` per right-hand side: bit for bit the
+    reference's Gauss-Jordan elimination of each ``[rows | rhs]``."""
+
+    @pytest.mark.parametrize("field", [bq.NumericField(256), _MACH, F], ids=["numeric", "machine", "exact"])
+    def test_matches_the_augmented_elimination(self, field):
+        rng = random.Random(7)
+        entry, zero, deficient = random_entries(field, rng), field.zero, 0
+        for _ in range(200):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[entry() if rng.random() < 0.7 else zero for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:  # a repeated row
+                rows[-1] = list(rows[0])
+            if rng.random() < 0.3:  # a zero column
+                col = rng.randrange(n)
+                for row in rows:
+                    row[col] = zero
+            rhss = ([zero] * m, [entry() if rng.random() < 0.5 else zero for _ in range(m)], [entry() for _ in range(m)])
+            assert_same_elimination(field, rows, *rhss, key=value_bits)
+            deficient += len(_factor(field, rows)[1]) < min(m, n)
+        assert deficient > 30
+
+    @pytest.mark.parametrize("field", [bq.NumericField(256), F], ids=["numeric", "exact"])
+    def test_solve_linear_system_reads_the_reference(self, field):
+        # solution and defect from the reference's reduced rows, bit for bit
+        rng = random.Random(8)
+        entry = random_entries(field, rng)
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[entry() if rng.random() < 0.6 else field.zero for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:
+                rows[-1] = [2 * v for v in rows[0]]
+            rhs = [entry() if rng.random() < 0.7 else field.zero for _ in range(m)]
+            dense, pivots = dense_gauss_jordan(field, rows, rhs)
+            defect = field.max_abs([row[n] for row in dense[len(pivots):]])
+            sol, got_defect = solve_linear_system(field, rows, rhs)
+            assert value_bits(got_defect) == value_bits(defect)
+            if isinstance(field, bq.ExactField) and defect != 0:
+                assert sol is None
+                continue
+            want = [field.zero] * n
+            for row, c in zip(dense, pivots):
+                want[c] = row[n] / row[c]
+            assert [value_bits(v) for v in sol] == [value_bits(v) for v in want]

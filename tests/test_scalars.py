@@ -56,6 +56,54 @@ def test_max_abs_is_max_of_abs(prec):
             assert field.within(v, bound) == (exact(z.real) ** 2 + exact(z.imag) ** 2 <= exact(bound) ** 2)
 
 
+def square_rule(field, values):
+    """The rule exponent-first ``largest`` replaced, kept as the reference:
+    the first nonzero value of largest exact squared magnitude; a list with
+    an entry that is not a finite scalar compares ``abs`` in order."""
+    ctx = field.ctx
+    if not all(ctx.isfinite(v) for v in values):
+        return bq.scalars._Magnitudes.largest(field, values)
+    squares = [exact(ctx.mpc(v).real) ** 2 + exact(ctx.mpc(v).imag) ** 2 for v in values]
+    top = max(squares, default=0)
+    return squares.index(top) if top else None
+
+
+@pytest.mark.parametrize("prec", [24, 53, 256])
+def test_largest_by_exponent_is_the_square_rule(prec):
+    field = bq.NumericField(prec)
+    ctx, rng = field.ctx, random.Random(prec)
+    below = 1 - ctx.ldexp(1, -prec)  # 2^k (1 - 2^-p), the float just below 2^k
+    edge = []
+    for k in (-3, 0, 1, 2, 40):
+        a, b = ctx.ldexp(1, k), ctx.ldexp(below, k)
+        half = ctx.ldexp(ctx.sqrt(ctx.mpf(1) / 2), k)  # |mpc(half, half)| is 2^k up to rounding
+        edge += [a, -b, b, ctx.mpc(0, a), ctx.mpc(b, 0), ctx.mpc(half, half), ctx.mpc(-half, half * below),
+                 ctx.ldexp(a, -1), ctx.ldexp(a, 1), ctx.ldexp(below, k + 1), ctx.mpc(a, ctx.ldexp(a, -prec)),
+                 ctx.mpc(ctx.ldexp(b, -1), ctx.ldexp(b, -1)), field.zero, ctx.mpc(0)]
+    fixed, drawn = magnitude_cases(field)
+    groups = [[field.zero] * 3, [], [ctx.mpc(0), field.zero, ctx.mpf(3)]]
+    groups += [rng.sample(edge, rng.randint(1, 6)) for _ in range(3000)]
+    groups += [rng.sample(fixed + drawn + edge, 5) for _ in range(500)]
+    for values in groups:
+        assert field.largest(values) == square_rule(field, values), values
+
+
+def test_largest_ties_and_non_finite():
+    field = bq.NumericField(256)
+    ctx = field.ctx
+    five = [ctx.mpf(5), ctx.mpc(3, 4), ctx.mpc(0, -5), ctx.mpc(-4, 3), ctx.mpf(-5)]
+    for shift in range(5):  # equal magnitudes, mpf against mpc: the first index
+        assert field.largest([field.zero] + five[shift:] + five[:shift]) == 1
+    assert field.largest([ctx.mpf(3), ctx.mpc(3, 4), ctx.mpf(5)]) == 1
+    assert field.largest([field.zero, ctx.mpc(0)]) is None and field.largest([]) is None
+    assert field.largest([ctx.mpf(0), ctx.ldexp(1, -900)]) == 1
+    one, two, inf, nan = ctx.mpf(1), ctx.mpf(2), ctx.inf, ctx.nan
+    for values, idx in [([one, inf, two], 1), ([one, ctx.mpc(0, -inf)], 1), ([one, nan, two], 2),
+                        ([nan, one], 0), ([one, ctx.mpc(nan, 0)], 0)]:
+        assert field.largest(values) == idx == square_rule(field, values), values
+    assert field.within(ctx.mpf(1), inf) and not field.within(inf, ctx.mpf(1))
+
+
 def test_machine_within_compares_abs():
     # floats compare the rounded abs, as largest does
     machine = bq.scalars.MachineField()
