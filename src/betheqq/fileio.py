@@ -46,6 +46,15 @@ def _integer(doc, name: str) -> int:
     return int(doc)
 
 
+def _read(what: str, build):
+    """``build()``; a missing key or a value of the wrong type or range in
+    the document it reads is a ``ParseError``, "bad ``what`` document"."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what} document: {exc}") from exc
+
+
 def poly_from_doc(field: Field, doc) -> Poly:
     return Poly.make(field, [field(c) for c in _array(doc, "polynomial")])
 
@@ -67,10 +76,9 @@ def field_from_doc(doc: dict) -> Field:
 
 
 def instance_from_doc(doc: dict) -> QQInstance:
-    try:
+    def build():
         field = field_from_doc(doc)
-        fam = doc["cartan"]["family"]
-        ctype = CartanType(fam, _integer(doc["cartan"]["rank"], "'rank'"))
+        ctype = CartanType(doc["cartan"]["family"], _integer(doc["cartan"]["rank"], "'rank'"))
         points = [(p["z"], [_integer(w, "'weights' entry") for w in _array(p["weights"], "'weights'")])
                   for p in doc.get("points", [])]
         twist = _array(doc["twist"], "'twist'")
@@ -82,8 +90,7 @@ def instance_from_doc(doc: dict) -> QQInstance:
         if extra_doc is not None:
             extra = [poly_from_doc(field, e) if e is not None else None for e in extra_doc]
         return QQInstance.make(ctype, field, points, twist, lead=lead, extra=extra)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad instance document: {exc}") from exc
+    return _read("instance", build)
 
 
 def instance_to_doc(inst: QQInstance) -> dict:
@@ -119,12 +126,8 @@ def solution_to_doc(field: Field, sol: QQSolution) -> dict:
 
 
 def solution_from_doc(field: Field, doc: dict) -> QQSolution:
-    try:
-        qp = [poly_from_doc(field, p) for p in doc["q_plus"]]
-        qm = [poly_from_doc(field, p) for p in doc["q_minus"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad solution document: {exc}") from exc
-    return QQSolution.make(qp, qm)
+    return _read("solution", lambda: QQSolution.make([poly_from_doc(field, p) for p in doc["q_plus"]],
+                                                     [poly_from_doc(field, p) for p in doc["q_minus"]]))
 
 
 def roots_to_doc(field: Field, roots: BetheRoots) -> dict:
@@ -138,17 +141,11 @@ def _colors(doc, name: str) -> list:
 
 
 def roots_from_doc(field: Field, doc: dict) -> BetheRoots:
-    try:
-        return BetheRoots.make(field, _colors(doc["roots"], "'roots'"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad roots document: {exc}") from exc
+    return _read("roots", lambda: BetheRoots.make(field, _colors(doc["roots"], "'roots'")))
 
 
 def partition_from_doc(field: Field, doc: dict) -> InfinitePartition:
-    try:
-        return InfinitePartition.make(field, _colors(doc["partition"], "'partition'"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad partition document: {exc}") from exc
+    return _read("partition", lambda: InfinitePartition.make(field, _colors(doc["partition"], "'partition'")))
 
 
 def trace_to_doc(trace: ChainTrace) -> dict:
@@ -206,12 +203,11 @@ def degrees_from_arg(values, rank: int, name: str = "--degrees") -> tuple:
 
 def datum_from_doc(doc: dict) -> tuple[CartanType, CombinatorialDatum]:
     """The type and combinatorial datum of a bare datum document."""
-    try:
+    def build():
         ctype = CartanType(doc["cartan"]["family"], _integer(doc["cartan"]["rank"], "'rank'"))
         return ctype, CombinatorialDatum(degrees_from_arg(doc["d"], ctype.rank, "d"),
                                          degrees_from_arg(doc["N"], ctype.rank, "N"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad datum document: {exc}") from exc
+    return _read("datum", build)
 
 
 # -- reports ----------------------------------------------------------------

@@ -230,38 +230,33 @@ def regularity_residues(inst: QQInstance, sol: QQSolution,
 
     The double-pole cancellation between 2/(z-w) and the color-i term of
     <alpha_i, A^H> is carried out symbolically through synthetic division, so
-    the value is computed from expanded polynomial data alone.  Vanishing at
-    every root is equivalent to the Bethe equations.
+    the value is computed from expanded polynomial data alone, each p'/p at w
+    by ``RationalFn.__call__``, whose pole test raises the ``PoleCollision``.
+    Vanishing at every root is equivalent to the Bethe equations.
     """
     field = inst.field
-    cmat = inst.cartan
     lambdas = build_lambdas(inst)
     if bethe_roots is None:
         bethe_roots = BetheRoots(tuple(tuple(roots(p)) for p in sol.q_plus))
+
+    def ratio(p: Poly, w, pole: str):
+        try:  # unreduced: an exact gcd costs far more than the evaluation
+            return RationalFn(p.deriv(), p)(w)
+        except PoleCollision:
+            raise PoleCollision(pole) from None
+
     out = {}
     for i in range(1, inst.rank + 1):
-        lam = lambdas[i - 1]
         for ell, w in enumerate(bethe_roots.roots[i - 1], start=1):
-            lam_val = lam(w)
-            if field.is_zero(lam_val, scale=lam.norm()):
-                raise PoleCollision(f"root ({i},{ell}) lies on Lambda_{i}")
-            acc = inst.xi(i) + lam.deriv()(w) / lam_val
+            acc = inst.xi(i) + ratio(lambdas[i - 1], w, f"root ({i},{ell}) lies on Lambda_{i}")
             for j in range(1, inst.rank + 1):
-                aji = cmat.a(j, i)
-                if j == i or aji == 0:
-                    continue
-                qj = sol.q_plus[j - 1]
-                val = qj(w)
-                if field.is_zero(val, scale=qj.norm()):
-                    raise PoleCollision(f"root ({i},{ell}) meets a root of q+_{j}")
-                acc = acc - field(aji) * qj.deriv()(w) / val
+                aji = inst.cartan.a(j, i)
+                if j != i and aji != 0:
+                    acc = acc - field(aji) * ratio(sol.q_plus[j - 1], w, f"root ({i},{ell}) meets a root of q+_{j}")
             # color i itself: 2/(z-w) - 2 (log q+_i)' has finite part -2 u'/u
             u = sol.q_plus[i - 1].deflate(w)
             if not u.is_zero and u.degree() > 0:
-                uval = u(w)
-                if field.is_zero(uval, scale=u.norm()):
-                    raise PoleCollision(f"q+_{i} has a multiple root at ({i},{ell})")
-                acc = acc - field(2) * u.deriv()(w) / uval
+                acc = acc - field(2) * ratio(u, w, f"q+_{i} has a multiple root at ({i},{ell})")
             out[(i, ell)] = acc
     return out
 

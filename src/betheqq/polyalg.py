@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp
 
 from .errors import PoleCollision, ZeroDenominator
 from .scalars import ExactField, Field
@@ -184,20 +184,16 @@ class Poly:
 
 def _mp_parts(ctx: MPContext, coeffs: Sequence):
     """``(man, exp)`` with a signed integer mantissa for each of ``coeffs``,
-    or None unless every entry is a finite real mpf or mpc of ``ctx`` and
-    ``ctx`` rounds to nearest."""
+    or None unless every entry is a finite mpf of ``ctx`` and ``ctx`` rounds
+    to nearest.  Any mpc, a real one included, is refused: the scalar loop
+    multiplies it."""
     if ctx._prec_rounding[1] != "n":
         return None
-    mpf, mpc = ctx.mpf, ctx.mpc
-    parts = []
+    mpf, parts = ctx.mpf, []
     for c in coeffs:
-        kind = type(c)
-        if kind is mpc and c._mpc_[1] == fzero:
-            s, m, e, _ = c._mpc_[0]
-        elif kind is mpf:
-            s, m, e, _ = c._mpf_
-        else:  # complex, or not a scalar of ctx
+        if type(c) is not mpf:  # an mpc, or not a scalar of ctx
             return None
+        s, m, e, _ = c._mpf_
         if e and not m:  # inf or nan
             return None
         parts.append((-m if s else m, e))
@@ -206,18 +202,18 @@ def _mp_parts(ctx: MPContext, coeffs: Sequence):
 
 def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
     """Coefficients of the product of two nonzero coefficient vectors of
-    real ``ctx`` scalars, as a trimmed tuple; None when :func:`_mp_parts`
-    rejects an operand, complex ones included.
+    ``ctx`` mpf scalars, as a trimmed tuple of mpf; None when
+    :func:`_mp_parts` rejects an operand, any mpc included.
 
     Bit for bit and type for type the loop ``out[i + j] = out[i + j] +
-    a[i] * b[j]`` from the field's mpf zero (an mpc where some term has an
-    mpc factor), on integer mantissas: each coefficient adds its terms in
-    order of increasing ``i``.  A term is its exact product rounded once,
-    then added to the accumulator with one more rounding, both to nearest
-    with ties to even as mpmath's ``mpf_mul`` and ``mpf_add`` round them.
-    Exactly zero products are skipped, since adding one leaves the rounded
-    accumulator as it is; an operand more than ``2 * prec + 4`` binades
-    below the other cannot move the sum and is dropped.
+    a[i] * b[j]`` from the field's mpf zero, on integer mantissas: each
+    coefficient adds its terms in order of increasing ``i``.  A term is its
+    exact product rounded once, then added to the accumulator with one more
+    rounding, both to nearest with ties to even as mpmath's ``mpf_mul`` and
+    ``mpf_add`` round them.  Exactly zero products are skipped, since adding
+    one leaves the rounded accumulator as it is; an operand more than
+    ``2 * prec + 4`` binades below the other cannot move the sum and is
+    dropped.
     """
     pa, pb = _mp_parts(ctx, a), _mp_parts(ctx, b)
     if pa is None or pb is None:
@@ -261,10 +257,7 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
         out.append((rm, re))
     while out and not out[-1][0]:
         out.pop()
-    ia, ib = ([i for i, c in enumerate(v) if type(c) is ctx.mpc] for v in (a, b))
-    cx = {i + j for i in ia for j in range(nb)} | {i + j for j in ib for i in range(na)}  # a term has an mpc factor
-    return tuple(ctx.make_mpc((from_man_exp(rm, re), fzero)) if k in cx else ctx.make_mpf(from_man_exp(rm, re))
-                 for k, (rm, re) in enumerate(out))
+    return tuple(ctx.make_mpf(from_man_exp(rm, re)) for rm, re in out)
 
 
 def chop(p: Poly) -> Poly:
@@ -459,8 +452,7 @@ class RationalFn:
     def make(num: Poly, den: Poly) -> "RationalFn":
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
-        field = num.field
-        if isinstance(field, ExactField) and not num.is_zero:
+        if isinstance(num.field, ExactField):  # gcd(0, den) is den made monic: 0/1
             g = gcd(num, den)
             if g.degree() > 0:
                 num = num.divmod(g)[0]
@@ -468,8 +460,6 @@ class RationalFn:
             lead = den.lc()
             num = num.scale(1 / lead)
             den = den.scale(1 / lead)
-        elif isinstance(field, ExactField) and num.is_zero:
-            den = Poly.const(field, 1)
         return RationalFn(num, den)
 
     @staticmethod

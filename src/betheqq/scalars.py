@@ -47,8 +47,12 @@ def _parse_rational(text: str) -> Fraction:
 
 
 class _Magnitudes:
-    """Magnitude maxima and bounds, all decided by ``largest``, and the
-    one order of a root set."""
+    """Magnitude maxima and bounds, all decided by ``largest``, the zero
+    test at ``tau`` and the one order of a root set."""
+
+    def is_zero(self, x, scale=None) -> bool:
+        """|x| <= tau |scale|, relative with no floor (tau without a scale)."""
+        return abs(x) <= self.tau * (1 if scale is None else abs(scale))
 
     def largest(self, values):
         """Index of the first nonzero value of largest magnitude, or None."""
@@ -94,10 +98,10 @@ class ExactField(_Magnitudes):
         self.one = Fraction(1)
 
     def __call__(self, value) -> Fraction:
-        """Coerce ``value`` (int, Fraction, decimal/rational string) to a scalar."""
+        """Coerce ``value`` (int, Fraction, decimal/rational string, not bool) to a scalar."""
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, str):
             return _parse_rational(value)
@@ -107,9 +111,6 @@ class ExactField(_Magnitudes):
                 raise ParseError("exact backend has no complex scalars; use the numeric backend")
             return self(re)
         raise ParseError(f"cannot coerce {type(value).__name__} to an exact scalar")
-
-    def is_zero(self, x, scale=None) -> bool:
-        return x == 0
 
     def abs(self, x) -> Fraction:
         return abs(x)
@@ -147,8 +148,8 @@ class NumericField(_Magnitudes):
         self.tau_root = (
             ctx.mpf(tau_root) if tau_root is not None else ctx.mpf(2) ** -((5 * precision) // 16)
         )
-        if not (self.tau > 0 and self.tau_root > 0):
-            raise ValueError("tolerances tau and tau_root must be positive")
+        if not (0 < self.tau < 1 and 0 < self.tau_root < ctx.inf):  # NaN fails both
+            raise ValueError("tolerances must be positive, with tau < 1 and tau_root finite")
         self.zero = ctx.mpf(0)
         self.one = ctx.mpf(1)
         self._own = (ctx.mpf, ctx.mpc)
@@ -156,6 +157,8 @@ class NumericField(_Magnitudes):
     def __call__(self, value):
         if type(value) in self._own:
             return value
+        if isinstance(value, bool):  # true is not 1
+            raise ParseError("cannot coerce bool to a numeric scalar")
         ctx = self.ctx
         if isinstance(value, Fraction):
             return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
@@ -182,10 +185,6 @@ class NumericField(_Magnitudes):
         if hasattr(value, "real") and hasattr(value, "imag"):
             return ctx.mpc(value.real, value.imag)
         raise ParseError(f"cannot coerce {type(value).__name__} to a numeric scalar; a complex literal is [re, im]")
-
-    def is_zero(self, x, scale=None) -> bool:
-        """|x| <= tau |scale|, relative with no floor (tau without a scale)."""
-        return abs(x) <= self.tau * (1 if scale is None else abs(scale))
 
     def abs(self, x):
         return abs(x)

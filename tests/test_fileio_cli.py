@@ -1,5 +1,6 @@
 """File formats, round-trips, reports, and the command-line driver."""
 
+import hashlib
 import json
 import os
 import re
@@ -367,6 +368,24 @@ class TestCliChainFoldDiag:
         mdoc = json.loads(mout.read_text())
         assert len(mdoc["entries"]) == 3
 
+    def test_numeric_reports_as_before(self, tmp_path, capsys):
+        # four numeric A2 files along both words, wall time dropped: the
+        # residuals sit at the rounding floor, so any change of a rounding on
+        # the diagonalize path moves this digest
+        N = bq.NumericField(256)
+        digest = hashlib.sha256()
+        for k, zeta in enumerate([(Q(3, 2), Q(5, 7)), (Q(-2, 5), Q(7, 3)), (Q(2, 3), Q(-9, 11)),
+                                  (Q(13, 6), Q(4, 9))]):
+            inst, _, sol = a2_rational(N, zeta)
+            ipath = _write(tmp_path, f"a2-{k}.json", fileio.instance_to_doc(inst))
+            spath = _write(tmp_path, f"a2sol-{k}.json", fileio.solution_to_doc(N, sol))
+            for word in ("1,2,1", "2,1,2"):
+                assert main(["diagonalize", ipath, spath, "--word", word]) == 0
+                report = json.loads(capsys.readouterr().out)
+                report.pop("wall_time_s")
+                digest.update(fileio.canonical_json(report).encode())
+        assert digest.hexdigest()[:16] == "442418964fab0369"
+
     @pytest.mark.parametrize("cmd", ["chain", "diagonalize"])
     def test_nonsolution_at_run_precision_is_a_failed_check(self, cmd, tmp_path, capsys):
         # a 256-bit solution read at 512 bits fails equation 1 there: the first
@@ -545,16 +564,22 @@ class TestCliInputErrors:
                                       "string-twist", "string-lead", "string-weights", "string-partition",
                                       "string-roots", "fraction-precision", "fraction-rank", "true-rank",
                                       "inf-point", "overflow-point", "nan-point", "infinity-twist",
-                                      "infinity-roots"])
+                                      "infinity-roots", "tol-inf", "tol-1e400", "tol-ten", "tau-true",
+                                      "bool-twist", "bool-point", "bool-coefficient"])
     def test_malformed_input_exits_2(self, case, tmp_path, capsys):
         # a start file with too few colors, a document that is not a JSON
         # object, tolerances that are not an object, a tolerance that is not
-        # positive, a string where an array belongs, an integer key that is
-        # not an integer and a numeric literal that is not finite are input errors
+        # positive (or a tau not below 1), a string where an array belongs, an
+        # integer key that is not an integer, a numeric literal that is not
+        # finite and a boolean where a number belongs are input errors
         N = bq.NumericField(256)
         inst, _, sol = a2_rational(N)
-        doc = fileio.instance_to_doc(inst)
+        doc, sdoc = fileio.instance_to_doc(inst), fileio.solution_to_doc(N, sol)
         edits = {"tau-root-negative": (doc, "tolerances", {"tau_root": "-1"}),
+                 "tau-true": (doc, "tolerances", {"tau": True}),
+                 "bool-twist": (doc, "twist", [True, doc["twist"][1]]),
+                 "bool-point": (doc["points"][0], "z", False),
+                 "bool-coefficient": (sdoc["q_plus"][0], 0, True),
                  "list-tolerances": (doc, "tolerances", ["1e-30"]),
                  "string-tolerances": (doc, "tolerances", "1e-30"),
                  "list-tolerances-and-tol": (doc, "tolerances", ["1e-30"]),
@@ -571,7 +596,7 @@ class TestCliInputErrors:
             target[key] = value
         ipath = _write(tmp_path, "a2.json", doc)
         Path(ipath).write_text(Path(ipath).read_text().replace('"<1e400>"', "1e400"))  # a float overflow
-        spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(N, sol))
+        spath = _write(tmp_path, "a2sol.json", sdoc)
         start = _write(tmp_path, "start.json", {"partition": [["0"], []]})
         listed = _write(tmp_path, "list.json", [1, 2])
         argv = {"roots-one-color": ["solve", ipath, _write(tmp_path, "r.json", {"roots": [["0.1"]]})],
@@ -584,6 +609,9 @@ class TestCliInputErrors:
                 "start-list": ["solve", ipath, listed],
                 "tol-zero": ["solve", ipath, start, "--tol", "0"],
                 "tol-negative": ["solve", ipath, start, "--tol", "-1"],
+                "tol-inf": ["verify", ipath, spath, "--tol", "inf"],
+                "tol-1e400": ["verify", ipath, spath, "--tol", "1e400"],
+                "tol-ten": ["verify", ipath, spath, "--tol", "10"],
                 "tau-root-negative": ["solve", ipath, start],
                 "list-tolerances": ["verify", ipath, spath],
                 "string-tolerances": ["solve", ipath, start],

@@ -235,6 +235,33 @@ class TestRegularity:
         res = bq.regularity_residues(inst, sol)  # roots extracted from q+
         assert all(v == 0 for v in res.values())
 
+    @pytest.mark.parametrize("field", [F, bq.NumericField(256)], ids=["exact", "numeric"])
+    def test_pole_collisions_name_the_pole(self, field):
+        # a root on a marked point, a root of one color at a root of a
+        # neighbor, and a double root of q+ each raise with their own label
+        inst, _, sol = a1_standard(field)  # Lambda = z, q+ = z + 1
+        with pytest.raises(bq.PoleCollision, match=r"^root \(1,1\) lies on Lambda_1$"):
+            bq.regularity_residues(inst, sol, bq.BetheRoots.make(field, [[0]]))
+        double = bq.QQSolution.make([sol.q_plus[0] * sol.q_plus[0]], sol.q_minus)
+        with pytest.raises(bq.PoleCollision, match=r"^q\+_1 has a multiple root at \(1,1\)$"):
+            bq.regularity_residues(inst, double, bq.BetheRoots.make(field, [[-1]]))
+        inst, roots, sol = a2_rational(field)
+        w2 = roots.roots[1][0]
+        with pytest.raises(bq.PoleCollision, match=r"^root \(1,1\) meets a root of q\+_2$"):
+            bq.regularity_residues(inst, sol, bq.BetheRoots.make(field, [[w2], [w2]]))
+
+    def test_exact_ratios_take_no_gcd(self, monkeypatch):
+        # reducing p'/p first costs an exact Euclid gcd per root, whose
+        # Fraction coefficients blow up: minutes at degree 20, not milliseconds
+        import betheqq.polyalg
+
+        def refuse(*args):
+            raise AssertionError("gcd called")
+
+        inst, roots, sol = a2_rational()
+        monkeypatch.setattr(betheqq.polyalg, "gcd", refuse)
+        assert all(v == 0 for v in bq.regularity_residues(inst, sol, roots).values())
+
 
 class TestBruhat:
     def test_random_factorizations(self):

@@ -237,7 +237,7 @@ class TestNumericProduct:
         field = bq.NumericField(prec)
         rng = random.Random(prec)
         mixes = [("mpf", "real", "imag", "mpc", "zero"), ("mpf", "real", "zero"), ("imag", "zero"),
-                 ("mpc",), ("mpf",)]
+                 ("mpc",), ("mpf",), ("real",)]
         for trial in range(60):
             kinds = mixes[trial % len(mixes)]
             p = self.rand_poly(rng, field, kinds, rng.randint(0, 5))
@@ -247,12 +247,12 @@ class TestNumericProduct:
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), (prec, trial)
 
     def test_kernel_takes_real_operands_only(self):
-        # real operands run the integer kernel; a complex entry takes the scalar loop
+        # mpf operands only run the integer kernel; any mpc returns None, a
+        # real one included, and takes the scalar loop
         ctx = bq.NumericField(256).ctx
-        real = [ctx.mpf(3) / 7, ctx.mpc(-2, 0), ctx.mpc(0)]
-        assert isinstance(_mp_product(ctx, real, real), tuple)
-        assert isinstance(_mp_product(ctx, [ctx.mpf(1)], [ctx.mpc(5, 0)]), tuple)
-        for odd in (ctx.mpc(1, 2), ctx.mpc(0, -1), ctx.mpc(1, ctx.inf)):
+        real = [ctx.mpf(3) / 7, ctx.mpf(-2), ctx.mpf(0)]
+        assert all(type(c) is ctx.mpf for c in _mp_product(ctx, real, real))
+        for odd in (ctx.mpc(5, 0), ctx.mpc(0), ctx.mpc(1, 2), ctx.mpc(0, -1), ctx.mpc(1, ctx.inf), ctx.inf):
             assert _mp_product(ctx, real + [odd], real) is None
             assert _mp_product(ctx, real, [odd]) is None
 

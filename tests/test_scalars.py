@@ -132,7 +132,18 @@ def test_zero_is_relative_to_scale():
     assert field.is_zero(two ** 39, scale=two ** 200) and not field.is_zero(two ** 41, scale=two ** 200)
 
 
-@pytest.mark.parametrize("tols", [{"tau": 0}, {"tau": "-1"}, {"tau_root": "-1e-10"}, {"tau_root": "nan"}])
+@pytest.mark.parametrize("tols", [{"tau": 0}, {"tau": "-1"}, {"tau_root": "-1e-10"}, {"tau_root": "nan"},
+                                  {"tau": "inf"}, {"tau": "1e400"}, {"tau": 10}, {"tau": 1}, {"tau": True},
+                                  {"tau": "nan"}, {"tau_root": "inf"}])
 def test_tolerances_must_be_positive(tols):
-    with pytest.raises(ValueError):
+    # 0 < tau < 1 and a finite tau_root > 0: at tau >= 1 every polynomial is
+    # zero against its own norm
+    with pytest.raises(ValueError, match="must be positive"):
         bq.NumericField(256, **tols)
+
+
+@pytest.mark.parametrize("field", [bq.ExactField(), bq.NumericField(64)], ids=["exact", "numeric"])
+def test_booleans_are_not_numbers(field):
+    for value in (True, False, [True, 0], [0, False]):
+        with pytest.raises(bq.ParseError, match="cannot coerce bool"):
+            field(value)
