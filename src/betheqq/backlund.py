@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ChainBroken, InconsistentSystem
-from .polyalg import Poly, RationalFn, chop, wronskian
+from .polyalg import Poly, RationalFn, chop
 from .qqcore import (
     QQInstance,
     QQSolution,
     _complete_color,
+    _qq_terms,
     build_lambdas,
     check_nondegenerate,
     equation_holds,
@@ -109,10 +110,8 @@ def mu_gauge_form(inst: QQInstance, sol: QQSolution, i: int) -> RationalFn:
     Agrees with :func:`mu` exactly when the i-th residual vanishes; comparing
     the two forms is therefore a solution check.
     """
-    qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
-    lam = build_lambdas(inst)[i - 1]
-    num = wronskian(qp, qm) + (qp * qm).scale(inst.xi(i))
-    return RationalFn.make(num, lam * qp * qm)
+    w, x, _ = _qq_terms(inst, sol, i)
+    return RationalFn.make(w + x, build_lambdas(inst)[i - 1] * sol.q_plus[i - 1] * sol.q_minus[i - 1])
 
 
 def apply_simple(inst: QQInstance, sol: QQSolution, i: int

@@ -26,7 +26,7 @@ from mpmath.libmp import from_float, fzero, mpc_shift, mpc_to_complex, mpf_shift
 
 from .errors import BadPartition, NoConvergence, PathCollision, PoleCollision, SingularJacobian
 from .polyalg import Poly, RationalFn, _factor, _near, _solve, poly_from_roots
-from .qqcore import QQInstance, QQSolution, build_lambdas, complete_minus, neighbor_product
+from .qqcore import QQInstance, QQSolution, complete_minus, qq_rhs
 from .scalars import ExactField, Field, MachineField, NumericField, residual_repr
 
 
@@ -223,8 +223,7 @@ def bethe_residual_log_form(inst: QQInstance, roots: BetheRoots, i: int, ell: in
     """
     field = inst.field
     w = roots.roots[i - 1][ell - 1]
-    q_plus = [poly_from_roots(field, color) for color in roots.roots]
-    num = neighbor_product(inst.cartan, q_plus, i, build_lambdas(inst)[i - 1])
+    num = qq_rhs(inst, [poly_from_roots(field, color) for color in roots.roots], i)
     # a_{ii} = 2: the denominator (q+_i)^2 cancels (z-w)^2 after deflation
     u = poly_from_roots(field, [v for s, v in enumerate(roots.roots[i - 1], start=1) if s != ell])
     den = u * u
@@ -559,12 +558,13 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
     predicted gap times t(s+h) / t(s) against the gap before the step).  It
     corrects with at most three Newton iterations (``_ITERATIONS`` at the
     seeds) to the machine ``tau_root`` relative to the twist.  The first step
-    is the whole path, h = 1; h doubles after an accepted step and halves
-    after a rejected one; below ``_MIN_STEP`` the corrector's last failure
-    is raised (a collision as ``PathCollision``).  The path runs in machine
-    floats on the caller's equations, rescaled and coerced once after the
-    differences of the points are formed in the caller's field, from
-    ``t_top = tau_root^(-1/2) / sigma``, sigma = min(1, min|xi| * spacing).
+    is the whole path, h = 1, and a step's target is min(1, s + h); h
+    doubles after an accepted step and halves after a rejected one until the
+    target moves, so no prediction is retried; below ``_MIN_STEP`` the
+    corrector's last failure is raised (a collision as ``PathCollision``).
+    The path runs in machine floats on the caller's equations, rescaled and
+    coerced once after the differences of the points are formed in the
+    caller's field, from ``t_top = tau_root^(-1/2) / sigma``, sigma = min(1, min|xi| * spacing).
     At s = 1 the roots are polished there as ``solve_newton`` polishes, and
     ``z_a + u / (c k)`` is refined in the caller's field (``solve_newton``).
     Log records carry ``"phase"``: ``"track"``, or ``"refine"`` at
@@ -651,14 +651,16 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
             pred = roots.replace_flat([(u + (nxt - s) * (d + u * dlog)) * ratio
                                        for u, d in zip(roots.flat(), tangent)])
             # no gap may change by more than itself in that frame: guards against path jumping
-            if any(abs(g / ratio - g0) > abs(g0) for g, g0 in zip(at.gaps(pred.roots), gaps)):
+            if not any(abs(g / ratio - g0) > abs(g0) for g, g0 in zip(at.gaps(pred.roots), gaps)):
+                try:
+                    roots, k, at, jac = correct(pred, k, nxt, h, 3)
+                    s, h, tangent, failure = nxt, 2 * h, None, None
+                    continue
+                except (NoConvergence, SingularJacobian, PoleCollision) as exc:
+                    failure = exc
+            # refused: halve h until the target moves, since the prediction depends on it alone
+            while min(1.0, s + h) == nxt:
                 h /= 2
-                continue
-            try:
-                roots, k, at, jac = correct(pred, k, nxt, h, 3)
-                s, h, tangent, failure = nxt, 2 * h, None, None
-            except (NoConvergence, SingularJacobian, PoleCollision) as exc:
-                h, failure = h / 2, exc
         roots = BetheRoots(tuple(tuple(system.diff[a][0] + field(u) / (c * k) for u, a in zip(color, ids))
                                  for color, ids in zip(roots.roots, anchors)))
         return solve_newton(inst, roots, log, context={"phase": "refine"})
@@ -666,23 +668,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
         raise PathCollision(f"tracked roots merged on the path: {exc}") from exc
 
 
-def _q_plus(field: Field, color: Sequence) -> Poly:
-    """Monic q+ with the roots ``color``: ``poly_from_roots`` of the roots
-    outside exact conjugate pairs, times z^2 - 2 Re(m) z + |m|^2 for each
-    exact pair (m, conj m), Im m > 0, in the order of m."""
-    rest, pairs = list(color), []
-    for m in color:
-        if m.imag > 0 and m.conjugate() in rest:
-            rest.remove(m)
-            rest.remove(m.conjugate())
-            pairs.append(m)
-    q = poly_from_roots(field, rest)
-    for m in pairs:
-        q = q * Poly.make(field, [m.real ** 2 + m.imag ** 2, -2 * m.real, 1])
-    return q
-
-
 def roots_to_solution(inst: QQInstance, roots: BetheRoots) -> QQSolution:
     """Monic q+ from the root sets, each exact conjugate pair as a real
-    quadratic factor (``_q_plus``), then polynomial completion."""
-    return complete_minus(inst, [_q_plus(inst.field, color) for color in roots._matching(inst).roots])
+    quadratic factor (``poly_from_roots``), then polynomial completion."""
+    return complete_minus(inst, [poly_from_roots(inst.field, color) for color in roots._matching(inst).roots])

@@ -178,13 +178,9 @@ def gl2_oper(conn: MiuraConnection, cmat: CartanMatrix, i: int) -> Gl2Oper:
     )
 
     rho = neighbor_product(cmat, conn.y, i, conn.lambdas[i - 1])
-    zeta_i = conn.twist.zeta[i - 1]
-    dlog = log_deriv(conn.y[i - 1])
-    upper_diag = rf_const(field, zeta_i) - dlog
-    low = rf_const(field, neighbor_sum(cmat, conn.twist.zeta, i, -zeta_i)) + dlog
-    tilde = RatMatrix.build(
-        [[upper_diag, RationalFn.from_poly(rho)], [rf_zero(field), low]]
-    )
+    # tilde's upper diagonal, zeta_i - (log y_i)', is g_i
+    low = rf_const(field, neighbor_sum(cmat, conn.twist.zeta, i, -conn.twist.zeta[i - 1])) + log_deriv(conn.y[i - 1])
+    tilde = RatMatrix.build([[g_i, RationalFn.from_poly(rho)], [rf_zero(field), low]])
     return Gl2Oper(raw, tilde, rho)
 
 
@@ -229,7 +225,7 @@ def regularity_residues(inst: QQInstance, sol: QQSolution,
     """Finite part of 2/(z-w) + <alpha_i, A^H(z)> + (log Lambda_i)' at each root.
 
     The double-pole cancellation between 2/(z-w) and the color-i term of
-    <alpha_i, A^H> is carried out symbolically through synthetic division, so
+    <alpha_i, A^H> is carried out symbolically by division by (z - w), so
     the value is computed from expanded polynomial data alone, each p'/p at w
     by ``RationalFn.__call__``, whose pole test raises the ``PoleCollision``.
     Vanishing at every root is equivalent to the Bethe equations.

@@ -159,17 +159,8 @@ class Poly:
         return Poly.make(self.field, quot), Poly.make(self.field, rem[: dlen - 1])
 
     def deflate(self, root) -> "Poly":
-        """Synthetic division by (z - root); any remainder is discarded."""
-        if self.is_zero:
-            return self
-        root = self.field(root)
-        n = len(self.coeffs) - 1
-        out = [self.field.zero] * n
-        acc = self.coeffs[n]
-        for k in range(n - 1, -1, -1):
-            out[k] = acc
-            acc = self.coeffs[k] + acc * root
-        return Poly.make(self.field, out)
+        """The quotient of the division by (z - root); the remainder is discarded."""
+        return self.divmod(Poly.make(self.field, [-self.field(root), 1]))[0]
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -283,10 +274,20 @@ def chop(p: Poly) -> Poly:
 
 
 def poly_from_roots(field: Field, roots: Sequence, lead=1) -> Poly:
-    """lead * prod (z - r) over the root multiset."""
+    """lead * prod (z - r) over the root multiset: the linear factors of the
+    roots outside exact conjugate pairs, in order, then z^2 - 2 Re(m) z +
+    |m|^2 for each exact pair (m, conj m), Im m > 0, in the order of m."""
+    rest, pairs = [field(r) for r in roots], []
+    for m in list(rest):
+        if m.imag > 0 and m.conjugate() in rest:
+            rest.remove(m)
+            rest.remove(m.conjugate())
+            pairs.append(m)
     p = Poly.const(field, lead)
-    for r in roots:
-        p = p * Poly.make(field, [-field(r), 1])
+    for r in rest:
+        p = p * Poly.make(field, [-r, 1])
+    for m in pairs:
+        p = p * Poly.make(field, [m.real ** 2 + m.imag ** 2, -2 * m.real, 1])
     return p
 
 

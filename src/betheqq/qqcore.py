@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InconsistentSystem, UnsupportedType
-from .polyalg import Poly, _near, chop, coprime_check, distinct_roots_check, solve_linear_system
+from .polyalg import Poly, _near, chop, coprime_check, distinct_roots_check, poly_from_roots, solve_linear_system
 from .polyalg import wronskian as wr
 from .rootsys import CartanMatrix, CartanType, Twist, cartan_matrix, pairings, twist_from_pairings
 from .scalars import Field
@@ -83,16 +83,10 @@ class QQInstance:
 
     @cached_property
     def _lambdas(self) -> tuple:
-        field = self.field
         out = []
         for i in range(self.rank):
-            p = Poly.const(field, self.lead[i])
-            for z, exps in self.points:
-                if exps[i]:
-                    p = p * Poly.make(field, [-z, 1]) ** exps[i]
-            if self.extra[i] is not None:
-                p = p * self.extra[i]
-            out.append(p)
+            p = poly_from_roots(self.field, [z for z, exps in self.points for _ in range(exps[i])], self.lead[i])
+            out.append(p if self.extra[i] is None else p * self.extra[i])
         return tuple(out)
 
     def xi(self, i: int):
@@ -174,9 +168,10 @@ def _qq_terms(inst: QQInstance, sol: QQSolution, i: int) -> tuple:
     return wr(qp, qm), (qp * qm).scale(inst.xi(i)), qq_rhs(inst, sol.q_plus, i)
 
 
-def qq_residual(inst: QQInstance, sol: QQSolution, i: int) -> Poly:
-    """LHS - RHS of the i-th equation; the zero polynomial iff it holds."""
-    w, x, rhs = _qq_terms(inst, sol, i)
+def qq_residual(inst: QQInstance, sol: QQSolution, i: int, terms: tuple | None = None) -> Poly:
+    """LHS - RHS of the i-th equation, from its ``_qq_terms`` (formed when
+    not given); the zero polynomial iff it holds."""
+    w, x, rhs = terms or _qq_terms(inst, sol, i)
     return w + x - rhs
 
 

@@ -647,6 +647,29 @@ class TestContinuation:
             iterations += sum(1 for r in log if r["phase"] == "track" and not r.get("converged"))
         assert iterations <= 1100
 
+    def test_failed_step_is_not_retried(self, monkeypatch):
+        # a step's prediction depends on its target min(1, s + h) alone, so
+        # after a failure h halves until the target moves: here steps to s = 1
+        # fail from s = 0, 1/2 and 3/4, and the two clamped ones (s + h > 1)
+        # were each retried once with the same prediction
+        from betheqq import bethe
+
+        newton, calls = bethe._newton, []
+
+        def spying(system, init, tol, iterations, log, polish, context, swept=None):
+            calls.append([context, init, True])
+            out = newton(system, init, tol, iterations, log, polish, context, swept)
+            calls[-1][2] = False
+            return out
+
+        monkeypatch.setattr(bethe, "_newton", spying)
+        inst = a1_two_points(N)
+        roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, [[1, 2]]), bq.SolveOptions(seed=1))
+        assert bq.verify_bethe(inst, roots).ok
+        track = [c for c in calls if c[0]["phase"] == "track"]
+        assert sum(1 for context, _, failed in track if failed and context["s"] == 1) >= 2
+        assert not any(a[2] and (a[0]["s"], a[1]) == (b[0]["s"], b[1]) for a, b in zip(track, track[1:]))
+
     def test_points_closer_than_tau_root(self):
         # marked points coincide under the rule the partition check uses:
         # 1e-30 apart at 256 bits (tau_root 2^-80) is refused when the
@@ -757,6 +780,24 @@ class TestRealInstances:
             for v in roots.flat() + [c for q in sol.q_plus + sol.q_minus for c in q.coeffs]:
                 digest.update(repr(getattr(v, "_mpc_", None) or (v._mpf_, (0, 0, 0, 0))).encode())
         assert digest.hexdigest()[:16] == "05e658ee7d356b60"
+
+    def test_real_instances_solve_as_before(self):
+        # real points and twist: roots, q+ and q- bit for bit and type for
+        # type (digest of the type name and the mpf or (re, im) tuples, taken
+        # before q+ and Lambda_i were built by poly_from_roots alone); the
+        # roots of the first case are an exact conjugate pair, and the second
+        # retried a clamped step with the same prediction
+        digest = hashlib.sha256()
+        cases = [([(1, (1,)), (2, (1,))], [Q(3, 4)], [[1, 2]], 1),
+                 ([(1, (1,)), (2, (1,))], [Q(3, 4)], [[2]], 2),
+                 ([(0, (1, 0)), (3, (0, 1))], [Q(2, 3), Q(1, 5)], [[0], [3]], 3)]
+        for points, twist, w_sets, seed in cases:
+            inst = bq.QQInstance.make(bq.CartanType("A", len(twist)), N, points, twist)
+            roots = bq.seed_and_continue(inst, bq.InfinitePartition.make(N, w_sets), bq.SolveOptions(seed=seed))
+            sol = bq.roots_to_solution(inst, roots)
+            for v in roots.flat() + [c for q in sol.q_plus + sol.q_minus for c in q.coeffs]:
+                digest.update(repr((type(v).__name__, getattr(v, "_mpc_", None) or v._mpf_)).encode())
+        assert digest.hexdigest()[:16] == "fcff177076094f6f"
 
 
 class TestRoundTrip:

@@ -75,6 +75,19 @@ class TestRootsAndGcd:
         assert bq.poly_from_roots(F, [1, 2]).coeffs == (Q(2), Q(-3), Q(1))
         assert bq.poly_from_roots(F, [], lead=Q(5)).coeffs == (Q(5),)
 
+    def test_poly_from_roots_pairs_exact_conjugates(self):
+        # the linear factors in order, then one real quadratic per exact
+        # conjugate pair (m, conj m), Im m > 0: a real polynomial of mpf
+        # coefficients; q+ and Lambda_i are both built this way
+        N = bq.NumericField(256)
+        m = N([Q(5, 6), Q(1, 3)])
+        p = bq.poly_from_roots(N, [m.conjugate(), N(2), m, N([1, 1])], lead=3)
+        quadratic = Poly.make(N, [m.real ** 2 + m.imag ** 2, -2 * m.real, 1])
+        assert p == Poly.const(N, 3) * Poly.make(N, [-2, 1]) * Poly.make(N, [-N([1, 1]), 1]) * quadratic
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(m, (1,)), (m.conjugate(), (1,))], [Q(1, 2)])
+        assert bq.build_lambdas(inst)[0] == quadratic
+        assert {type(c) for c in quadratic.coeffs} == {N.ctx.mpf}
+
     def test_checks(self):
         assert not bq.distinct_roots_check(P(0, 0, 1))  # z^2
         assert bq.coprime_check(P(1, 1), P(1))
@@ -125,6 +138,47 @@ def divisor_search(p):
         roots.append(root)
         work = work.deflate(root)
     return roots
+
+
+def synthetic_division(p, root):
+    """The former ``Poly.deflate``: synthetic division by (z - root), the
+    remainder discarded; kept as the reference for ``divmod``."""
+    if p.is_zero:
+        return p
+    root = p.field(root)
+    n = len(p.coeffs) - 1
+    out = [p.field.zero] * n
+    acc = p.coeffs[n]
+    for k in range(n - 1, -1, -1):
+        out[k] = acc
+        acc = p.coeffs[k] + acc * root
+    return Poly.make(p.field, out)
+
+
+class TestDeflate:
+    @pytest.mark.parametrize("field", [F, bq.NumericField(80), bq.NumericField(256)], ids=["exact", "80", "256"])
+    def test_matches_synthetic_division(self, field):
+        # bit for bit and type for type, at a root of p and elsewhere, with
+        # real and (numeric) complex roots and coefficients
+        rng = random.Random(str(field))
+
+        def scalar(kind):
+            x = Q(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+            if isinstance(field, bq.ExactField):
+                return x
+            return field(x) if kind == "real" else field([x, Q(rng.randint(-999, 999), rng.randint(1, 99))])
+
+        for trial in range(120):
+            kinds = ["real"] if isinstance(field, bq.ExactField) or trial % 3 == 0 else ["real", "complex"]
+            roots = [scalar(rng.choice(kinds)) for _ in range(rng.randint(0, 5))]
+            p = bq.poly_from_roots(field, roots, lead=scalar(rng.choice(kinds)))
+            if trial % 2:
+                p = p + Poly.make(field, [scalar(rng.choice(kinds))])  # the quotient leaves a remainder
+            for w in roots[:2] + [scalar(rng.choice(kinds))]:
+                got, want = p.deflate(w), synthetic_division(p, w)
+                assert [bits(c) for c in got.coeffs] == [bits(c) for c in want.coeffs], (trial, w)
+        for p in (Poly.zero(field), Poly.const(field, 3)):
+            assert p.deflate(1).is_zero and synthetic_division(p, 1).is_zero
 
 
 #: irreducible over the rationals: complex pairs, real irrational pairs, a cubic
