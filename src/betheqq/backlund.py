@@ -24,7 +24,7 @@ from .qqcore import (
     QQInstance,
     QQSolution,
     _complete_color,
-    _qq_terms,
+    _qq_lhs,
     build_lambdas,
     check_nondegenerate,
     equation_holds,
@@ -110,8 +110,9 @@ def mu_gauge_form(inst: QQInstance, sol: QQSolution, i: int) -> RationalFn:
     Agrees with :func:`mu` exactly when the i-th residual vanishes; comparing
     the two forms is therefore a solution check.
     """
-    w, x, _ = _qq_terms(inst, sol, i)
-    return RationalFn.make(w + x, build_lambdas(inst)[i - 1] * sol.q_plus[i - 1] * sol.q_minus[i - 1])
+    qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
+    w, x = _qq_lhs(qp, qm, inst.xi(i))
+    return RationalFn.make(w + x, build_lambdas(inst)[i - 1] * qp * qm)
 
 
 def apply_simple(inst: QQInstance, sol: QQSolution, i: int

@@ -658,8 +658,7 @@ def seed_and_continue(inst: QQInstance, part: InfinitePartition,
                     continue
                 except (NoConvergence, SingularJacobian, PoleCollision) as exc:
                     failure = exc
-            # refused: halve h until the target moves, since the prediction depends on it alone
-            while min(1.0, s + h) == nxt:
+            while min(1.0, s + h) == nxt:  # refused: the prediction depends on the target alone
                 h /= 2
         roots = BetheRoots(tuple(tuple(system.diff[a][0] + field(u) / (c * k) for u, a in zip(color, ids))
                                  for color, ids in zip(roots.roots, anchors)))

@@ -162,16 +162,19 @@ def qq_rhs(inst: QQInstance, q_plus: Sequence[Poly], i: int) -> Poly:
     return neighbor_product(inst.cartan, q_plus, i, build_lambdas(inst)[i - 1])
 
 
+def _qq_lhs(qp: Poly, qm: Poly, xi) -> tuple:
+    """W(q+, q-) and xi q+ q-, the left-hand terms of a qq-equation."""
+    return wr(qp, qm), (qp * qm).scale(xi)
+
+
 def _qq_terms(inst: QQInstance, sol: QQSolution, i: int) -> tuple:
-    """W(q+_i, q-_i), xi_i q+_i q-_i and the right-hand side of equation i."""
-    qp, qm = sol.q_plus[i - 1], sol.q_minus[i - 1]
-    return wr(qp, qm), (qp * qm).scale(inst.xi(i)), qq_rhs(inst, sol.q_plus, i)
+    """The ``_qq_lhs`` of color i and the right-hand side of equation i."""
+    return *_qq_lhs(sol.q_plus[i - 1], sol.q_minus[i - 1], inst.xi(i)), qq_rhs(inst, sol.q_plus, i)
 
 
-def qq_residual(inst: QQInstance, sol: QQSolution, i: int, terms: tuple | None = None) -> Poly:
-    """LHS - RHS of the i-th equation, from its ``_qq_terms`` (formed when
-    not given); the zero polynomial iff it holds."""
-    w, x, rhs = terms or _qq_terms(inst, sol, i)
+def qq_residual(inst: QQInstance, sol: QQSolution, i: int) -> Poly:
+    """LHS - RHS of the i-th equation; the zero polynomial iff it holds."""
+    w, x, rhs = _qq_terms(inst, sol, i)
     return w + x - rhs
 
 
@@ -257,7 +260,7 @@ def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None
     b = [rhs.coeff(m) for m in range(rows_len)]
     sol, defect = solve_linear_system(field, rows, b)
     h = None if sol is None else chop(Poly.make(field, sol))
-    if h is None or not _terms_hold(field, (wr(qp, h), (qp * h).scale(xi), rhs)):
+    if h is None or not _terms_hold(field, (*_qq_lhs(qp, h, xi), rhs)):
         raise InconsistentSystem(i, f"no polynomial q-_{i}: residual {defect}")
     if xi == 0:
         # fix the integration constant: zero constant term in (h div q+_i)

@@ -343,6 +343,24 @@ class TestInfiniteSystem:
         lam = bq.build_lambdas(inst)[0]
         assert (prod - lam).norm() <= N.tau
 
+    def test_conjugate_marked_points_pair_up(self):
+        # a complex twist, so the instance is not real: W and the rest are
+        # poly_from_roots of their roots, an exact conjugate pair as the real
+        # quadratic z^2 - 2z + 5 after the linear factors, a split pair as
+        # two complex linear factors
+        i = N([0, 1])
+        inst = bq.QQInstance.make(bq.CartanType("A", 1), N, [(1 + 2 * i, (1,)), (3, (1,)), (1 - 2 * i, (1,))],
+                                  [Q(3, 4) + i / 2])
+        cases = [([1 + 2 * i, 3, 1 - 2 * i], [[-15, 11, -5, 1], [1]]),
+                 ([3], [[-3, 1], [5, -2, 1]]),
+                 ([1 - 2 * i, 3], [[3 - 6 * i, -4 + 2 * i, 1], [-1 - 2 * i, 1]])]
+        for w, expected in cases:
+            sol = bq.infinite_solution(inst, bq.InfinitePartition.make(N, [w]))
+            got = [list(q.coeffs) for q in sol.q_plus + sol.q_minus]
+            assert got == expected
+            assert [[type(c).__name__ for c in q] for q in got] == [
+                ["mpf" if c.imag == 0 else "mpc" for c in q] for q in expected]
+
     def test_empty_w(self):
         inst = a1_two_points(N)
         sol = bq.infinite_solution(inst, bq.InfinitePartition.make(N, [[]]))
