@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ChainBroken, InconsistentSystem
-from .polyalg import Poly, RationalFn, chop
+from .polyalg import Poly, RationalFn
 from .qqcore import (
     QQInstance,
     QQSolution,
@@ -125,7 +125,7 @@ def apply_simple(inst: QQInstance, sol: QQSolution, i: int
     re-completed under the new twist, so the same error from there means
     the input was not i-composable.
     """
-    qm = chop(sol.q_minus[i - 1])
+    qm = sol.q_minus[i - 1]
     if qm.is_zero:
         raise ValueError(f"q-_{i} vanishes; the step at color {i} is undefined")
     if not equation_holds(inst, sol, i):

@@ -78,7 +78,7 @@ class SolveOptions:
 
 
 def _collision_guard(field: Field, denom, where: str, *at):
-    """``denom``, unless |denom| <= ``tau_root``; formats ``where`` only then."""
+    """``denom`` (w - z or w - v) unless |denom| <= ``tau_root``; formats ``where`` only then."""
     if field.within(denom, field.tau_root):
         raise PoleCollision("vanishing denominator at " + where.format(*at))
     return denom
@@ -158,7 +158,7 @@ class _System:
         if self.extra[i] is not None:
             p, dp, g = self.extra[i]
             if residual:
-                acc = acc + dp(w) / _collision_guard(field, p(w), "cofactor ({},{})", i + 1, ell + 1)
+                acc = acc + RationalFn(dp, p)(w)
             if row is not None:
                 diag = diag + g(w)
         for j, a in self.couplings[i].items():
@@ -227,10 +227,7 @@ def bethe_residual_log_form(inst: QQInstance, roots: BetheRoots, i: int, ell: in
     # a_{ii} = 2: the denominator (q+_i)^2 cancels (z-w)^2 after deflation
     u = poly_from_roots(field, [v for s, v in enumerate(roots.roots[i - 1], start=1) if s != ell])
     den = u * u
-    f_num = num.deriv() * den - num * den.deriv()
-    f_den = num * den
-    val_den = _collision_guard(field, f_den(w), "log-form denominator ({},{})", i, ell)
-    return inst.xi(i) + f_num(w) / val_den
+    return inst.xi(i) + RationalFn(num.deriv() * den - num * den.deriv(), num * den)(w)
 
 
 @dataclass

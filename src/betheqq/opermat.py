@@ -227,7 +227,9 @@ def regularity_residues(inst: QQInstance, sol: QQSolution,
     The double-pole cancellation between 2/(z-w) and the color-i term of
     <alpha_i, A^H> is carried out symbolically by division by (z - w), so
     the value is computed from expanded polynomial data alone, each p'/p at w
-    by ``RationalFn.__call__``, whose pole test raises the ``PoleCollision``.
+    by ``RationalFn.__call__``: a root within ``tau_root`` of a root of p, to
+    first order, raises ``PoleCollision``; ``tau`` does not enter.  The roots
+    default to those of q+ (``roots``, which keeps every coefficient).
     Vanishing at every root is equivalent to the Bethe equations.
     """
     field = inst.field

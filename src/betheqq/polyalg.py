@@ -252,22 +252,16 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
 
 
 def chop(p: Poly) -> Poly:
-    """Trim sub-tolerance trailing coefficients (numeric backend only).
-
-    Logs a warning whenever a nonzero coefficient is dropped, so degree
-    bookkeeping never changes silently.
-    """
+    """Trim trailing coefficients at most ``tau`` times the norm (numeric backend
+    only), with a warning when one is nonzero.  The package chops only a completed
+    q-_i with xi_i = 0, the one place where a computed degree can fall."""
     field = p.field
     if isinstance(field, ExactField) or p.is_zero:
         return p
-    ref = p.norm()
-    cs = list(p.coeffs)
-    dropped = False
+    ref, cs = p.norm(), list(p.coeffs)
     while cs and field.is_zero(cs[-1], scale=ref):
-        if cs[-1] != 0:
-            dropped = True
         cs.pop()
-    if dropped:
+    if any(p.coeffs[len(cs):]):
         import logging
         logging.getLogger(__name__).warning("chop: trimmed sub-tolerance leading coefficients (scale %s)", ref)
     return Poly(field, tuple(cs))
@@ -320,15 +314,14 @@ def solve_linear_ode(field: Field, xi, p: Poly) -> Poly:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the exact backend (Euclid)."""
+    """Monic gcd over the exact backend (Euclid, each remainder made monic)."""
     if not isinstance(p.field, ExactField):
         raise NotImplementedError("gcd is exact-backend only; use root separations numerically")
     a, b = p, q
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero:
-        return a
-    return a.monic()
+    while not b.is_zero:  # a monic remainder leaves the gcd as it is and keeps coefficients small
+        r = a.divmod(b)[1]
+        a, b = b, r if r.is_zero else r.monic()
+    return a if a.is_zero else a.monic()
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
@@ -373,7 +366,8 @@ def roots(p: Poly) -> list:
 
     Exact backend: :func:`rational_roots` (raises if the polynomial does
     not split over the rationals).  Numeric backend: eigenvalues of the
-    companion matrix followed by one Newton polish per root.  Either way
+    companion matrix of ``p`` made monic, every coefficient kept, so deg p
+    roots at any ``tau``, then one Newton polish per root.  Either way
     the roots come in ``field.ordered`` order.
     """
     field = p.field
@@ -381,15 +375,10 @@ def roots(p: Poly) -> list:
         raise ValueError("zero polynomial")
     if isinstance(field, ExactField):
         return field.ordered(rational_roots(p))
-    q = chop(p)
-    if q.is_zero:
-        raise ValueError("polynomial is numerically zero")
-    if q.degree() == 0:
-        return []
-    mon = q.monic()
+    mon = p.monic()
     n = mon.degree()
-    if n == 1:
-        return [-mon.coeffs[0]]
+    if n <= 1:
+        return [-mon.coeffs[0]] if n else []
     ctx = field.ctx
     comp = ctx.zeros(n, n)
     for k in range(n):
@@ -498,10 +487,21 @@ class RationalFn:
         )
 
     def __call__(self, x):
-        dv = self.den(x)
-        if self.field.is_zero(dv, scale=self.den.norm()):
-            raise PoleCollision(f"evaluation at a pole ({x})")
-        return self.num(x) / dv
+        """num(x)/den(x); PoleCollision unless den is nonzero on |z - x| <= tau_root,
+        |t_0| > sum_k |t_k| tau_root^k with t_k = den^(k)(x)/k!: the first-order distance
+        |den/den'| to a simple root, the higher terms catching a multiple one, where den'
+        is noise too.  The t_k are formed until a bound decides; exactly, den(x) = 0 raises."""
+        field, tau, t, q = self.field, self.field.tau_root, [], self.den
+        rad = max(field.one, field.abs(x) + tau)
+        while True:  # the k-th division by (z - x) leaves t_k as its remainder
+            q, r = q.divmod(Poly.make(field, [-x, 1]))
+            t.append(r.coeff(0))
+            near = sum(field.abs(c) * tau ** k for k, c in enumerate(t) if k)
+            if field.within(t[0], near):
+                raise PoleCollision(f"evaluation at a pole ({x})")
+            m = len(q.coeffs)  # den - sum_k t_k (z - x)^k = (z - x)^len(t) q, |q| <= m ||q|| rad^m on the disc
+            if not field.within(t[0], near + (tau and tau ** len(t) * m * q.norm() * rad ** m)):
+                return self.num(x) / t[0]
 
     def defect(self, other: "RationalFn"):
         """|self - other| as a relative max-coefficient norm after clearing

@@ -259,7 +259,8 @@ def _complete_color(inst: QQInstance, q_plus: Sequence[Poly], i: int, shift=None
              for k in range(cap + 1)] for m in range(rows_len)]
     b = [rhs.coeff(m) for m in range(rows_len)]
     sol, defect = solve_linear_system(field, rows, b)
-    h = None if sol is None else chop(Poly.make(field, sol))
+    # xi_i != 0 fixes deg h by its leading term xi_i lc(q+_i) lc(h); for xi_i = 0 it can fall
+    h = None if sol is None else Poly.make(field, sol) if xi != 0 else chop(Poly.make(field, sol))
     if h is None or not _terms_hold(field, (*_qq_lhs(qp, h, xi), rhs)):
         raise InconsistentSystem(i, f"no polynomial q-_{i}: residual {defect}")
     if xi == 0:

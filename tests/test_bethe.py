@@ -10,8 +10,9 @@ from itertools import combinations, groupby, product
 import pytest
 
 import betheqq as bq
+from betheqq import fileio
 from betheqq.scalars import residual_repr
-from fixhelp import a1_standard, a2_rational, random_bijection_case, random_valid_roots
+from fixhelp import a1_standard, a2_rational, b2_rational, g2_rational, random_bijection_case, random_valid_roots
 
 F = bq.ExactField()
 N = bq.NumericField(256)
@@ -38,6 +39,30 @@ class TestResidual:
         shared = bq.BetheRoots.make(F, [[5], [5]])  # adjacent colors share a root
         with pytest.raises(bq.PoleCollision):
             bq.verify_bethe(inst2, shared)
+
+    @pytest.mark.parametrize("build", [b2_rational, g2_rational])
+    def test_cofactor_pole_collision(self, build):
+        # the folded short color carries the cofactor q+_k q-_k: a root on its
+        # zero w_k raises, by first-order distance tau_root on the numeric
+        # backend, and a root 1e-3 away evaluates (with tau 0.9 as well)
+        inst, roots, sol = build()
+        k = inst.ctype.short_simple_root
+        folded, _ = bq.fold(inst, sol)
+        with pytest.raises(bq.PoleCollision):
+            bq.bethe_residual(folded, roots, k, 1)
+        for tau in (None, "0.9"):
+            doc = {**fileio.instance_to_doc(folded), "backend": "numeric", "tolerances": {"tau": tau}}
+            num = fileio.instance_from_doc(doc)
+            wk = num.field(roots.roots[k - 1][0])
+            for at, raises in ((wk, True), (wk + num.field.tau_root / 2, True), (wk + num.field("1e-3"), False)):
+                moved = list(roots.roots)
+                moved[k - 1] = (at,)
+                moved = bq.BetheRoots.make(num.field, moved)
+                if raises:
+                    with pytest.raises(bq.PoleCollision):
+                        bq.bethe_residual(num, moved, k, 1)
+                else:
+                    assert bq.bethe_residual(num, moved, k, 1) != 0
 
     def test_verify_perturbed(self):
         inst, roots, _ = a1_standard()

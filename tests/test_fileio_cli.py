@@ -14,7 +14,7 @@ import pytest
 import betheqq as bq
 from betheqq import fileio
 from betheqq.cli import main
-from fixhelp import a1_standard, a2_rational, b2_rational, g2_rational
+from fixhelp import a1_standard, a2_rational, b2_rational, exact_solved_fixtures, g2_rational
 
 F = bq.ExactField()
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,6 +167,72 @@ class TestCliVerify:
         assert [r["pass"] for r in reports] == [True, True]
         (line,) = captured.err.strip().splitlines()
         assert "c1.instance.json" in line and line.count("input error") == 1
+
+
+#: --tol values of the grid: the field's default tau, then up to 0.9
+GRID_TOLS = (None, "1e-3", "0.1", "0.5", "0.9")
+
+
+class TestCliVerifyToleranceGrid:
+    """``verify`` over the documented tau range (0, 1): a residual is a value
+    judged by tau, a pole a distance judged by tau_root, and no root check
+    loses a root to a loose tau."""
+
+    @staticmethod
+    def _files(tmp_path, q_minus_shift=0):
+        # each exact fixture, its q-_i moved by q_minus_shift ||q-_i|| in the constant term
+        out = []
+        for k, (inst, roots, sol) in enumerate(exact_solved_fixtures()):
+            q_minus = [p + bq.Poly.const(F, q_minus_shift * p.norm()) for p in sol.q_minus]
+            moved = bq.QQSolution.make(sol.q_plus, q_minus)
+            out.append((_write(tmp_path, f"f{k}.instance.json", fileio.instance_to_doc(inst)),
+                        _write(tmp_path, f"f{k}.solution.json", fileio.solution_to_doc(F, moved)),
+                        roots.degrees()))
+        return out
+
+    @staticmethod
+    def _verify(ipath, spath, precision, tol):
+        argv = ["verify", ipath, spath, "--backend", "numeric", "--precision", str(precision)]
+        return main(argv + ([] if tol is None else ["--tol", tol]))
+
+    @pytest.mark.parametrize("precision", [53, 256, 512])
+    def test_true_solutions_pass_at_every_tol(self, precision, tmp_path, capsys, monkeypatch):
+        # every root check reads the exact fixture's root counts (before, chop
+        # trimmed the monic G2 q+ = z + 14/5 to a constant at tau 0.5)
+        import betheqq.cli
+
+        seen, real = [], betheqq.cli.verify_bethe
+        monkeypatch.setattr(betheqq.cli, "verify_bethe", lambda inst, rts: seen.append(rts.degrees()) or real(inst, rts))
+        failed = []
+        for ipath, spath, degrees in self._files(tmp_path):
+            for tol in GRID_TOLS:
+                seen.clear()
+                code = self._verify(ipath, spath, precision, tol)
+                report = json.loads(capsys.readouterr().out)
+                if code != 0 or seen != [degrees]:
+                    failed.append((ipath, tol, code, seen, [c["name"] for c in report["checks"] if not c["pass"]]))
+        assert failed == []
+
+    @pytest.mark.parametrize("precision", [53, 256, 512])
+    def test_perturbed_q_minus_fails_at_tight_tol(self, precision, tmp_path, capsys):
+        # the negative control: q-_i moved by 1e-2 of its norm fails every tau <= 1e-3
+        for ipath, spath, _ in self._files(tmp_path, Q(1, 100)):
+            for tol in (None, "1e-3"):
+                assert self._verify(ipath, spath, precision, tol) == 1, (ipath, tol)
+                failing = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+                assert any(name.startswith("qq_residual_") for name in failing)
+
+    @pytest.mark.parametrize("tol", ["0.5", "0.9"])
+    def test_g2_q_plus_keeps_its_degree(self, tol):
+        # q+ = z + 14/5 and z + 84/5: at tau >= 1/(84/5) the former chop in
+        # roots made them constants, and the root checks read no roots
+        inst, _, sol = g2_rational()
+        doc = {**fileio.instance_to_doc(inst), "backend": "numeric", "tolerances": {"tau": tol}}
+        inst = fileio.instance_from_doc(doc)
+        sol = fileio.solution_from_doc(inst.field, fileio.solution_to_doc(F, sol))
+        assert [len(bq.roots(p)) for p in sol.q_plus] == [1, 1]
+        assert sorted(bq.regularity_residues(inst, sol)) == [(1, 1), (2, 1)]
+        assert bq.check_nondegenerate(inst, sol.q_plus).ok
 
 
 class TestCliSolve:

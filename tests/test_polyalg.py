@@ -114,6 +114,32 @@ class TestRootsAndGcd:
         q = P(-1, 1)
         assert bq.gcd(p, q).coeffs == (Q(-1), Q(1))
         assert bq.gcd(p, P(1)).degree() == 0
+        assert bq.gcd(Poly.zero(F), p.scale(3)).coeffs == bq.gcd(p.scale(3), Poly.zero(F)).coeffs == p.coeffs
+
+    def test_gcd_finds_the_common_factor(self):
+        # a g and b g, with a and b split over Q on disjoint roots of 3-digit
+        # numerators and up to 4-digit denominators: the gcd is the monic g,
+        # as the Euclid whose remainders are not made monic finds it
+        rng = random.Random(12)
+        for _ in range(30):
+            rs = set()
+            while len(rs) < 9:
+                rs.add(Q(rng.randint(-999, 999), rng.randint(1, 9999)))
+            rs = sorted(rs)
+            g = bq.poly_from_roots(F, rng.choices(rs[:3], k=rng.randint(0, 4)))
+            a = bq.poly_from_roots(F, rs[3:3 + rng.randint(0, 3)], lead=Q(rng.randint(1, 99), rng.randint(1, 99)))
+            b = bq.poly_from_roots(F, rs[6:6 + rng.randint(0, 3)], lead=Q(-rng.randint(1, 99), rng.randint(1, 99)))
+            got = bq.gcd(a * g, b * g)
+            assert got.coeffs == g.coeffs == euclid_gcd(a * g, b * g).coeffs
+
+
+def euclid_gcd(p, q):
+    """The former ``gcd``: Euclid on the remainders as they come, made monic
+    only at the end; kept as the reference for the monic remainder sequence."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero else a.monic()
 
 
 def divisor_search(p):
@@ -377,6 +403,44 @@ class TestZeroHandling:
     def test_chop_keeps_exact(self):
         p = P(1, 2, 3)
         assert bq.chop(p) is p
+
+
+class TestPoleRule:
+    """``RationalFn.__call__`` raises ``PoleCollision`` by distance to a root of
+    the denominator: unless |den(x)| > sum_k |den^(k)(x)/k!| tau_root^k, which
+    is |den(x)| > tau_root |den'(x)| to first order."""
+
+    @pytest.mark.parametrize("lead", [Q(1), Q(1, 2 ** 200), Q(2 ** 200)])
+    def test_numeric_pole_is_a_distance(self, lead):
+        # 1/(c (z - 1)) at any scale c and at tau 0.9, where the former value
+        # test |den(x)| <= tau ||den|| put 1 + 1e-3 on the pole
+        N = bq.NumericField(256, tau="0.9")
+        r = RationalFn(Poly.make(N, [1]), Poly.make(N, [-lead, lead]))
+        x = N("1.001")
+        assert abs(r(x) * N(lead) * (x - 1) - 1) < N.ctx.mpf(2) ** -240
+        assert r(1 + 2 * N.tau_root) and r(1 - 2 * N.tau_root)
+        for at in (N(1), 1 + N.tau_root / 2, 1 - N.tau_root / 2, N([1, N.tau_root / 2])):
+            with pytest.raises(bq.PoleCollision):
+                r(at)
+
+    def test_exact_pole_is_equality(self):
+        r = RationalFn(P(1), P(-1, 1))  # 1/(z - 1)
+        assert r(1 + Q(1, 10 ** 40)) == 10 ** 40
+        with pytest.raises(bq.PoleCollision):
+            r(Q(1))
+
+    @pytest.mark.parametrize("mult", [2, 3])
+    def test_multiple_root_and_constant_denominators(self, mult):
+        # at a multiple root 1/3, rounded, den and den' are both rounding
+        # noise: their quotient is no distance (it read 8 on a folded G2
+        # cofactor), and the higher Taylor terms still place x on the pole
+        N = bq.NumericField(256)
+        r = RationalFn(Poly.make(N, [1]), bq.poly_from_roots(N, [Q(1, 3)] * mult))
+        assert r(N(Q(1, 3)) + N("1e-3")) != 0
+        for at in (N(Q(1, 3)), N(Q(1, 3)) + N.tau_root / 2, N(Q(1, 3)) - N.tau_root):
+            with pytest.raises(bq.PoleCollision):
+                r(at)
+        assert RationalFn.from_poly(Poly.make(N, [3, 1]))(N(2)) == 5  # den' = 0, den = 1
 
 
 class TestRationalFn:
