@@ -373,8 +373,9 @@ def solve_newton(inst: QQInstance, init: BetheRoots, log: list | None = None, *,
     float accuracy is refined symmetrically, real roots as mpf and the
     others as exact pairs; if that fails, once more in complex arithmetic.
     The roots come back in canonical order (``BetheRoots.canonical``).  Log records carry
-    ``context`` and the ``"jacobian_precision"`` of the step's direction
-    (53: machine floats; None when the call took no step).
+    ``context``, the ``"jacobian_precision"`` of the step's direction (53: machine
+    floats; None when the call took no step) and the ``"call"`` that wrote them, the
+    log index of its first record (a failed symmetric run and its retry are two calls).
     """
     field = inst.field
     return _newton(_system(inst, init), init, field.tau, _ITERATIONS, log, True, context)[0].canonical(field)
@@ -429,14 +430,14 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
                 return None
         return None
 
-    def record(it, worst, alpha, prec, **extra):
+    def record(call, it, worst, alpha, prec, **extra):
         if log is not None:
-            log.append({"step": it, "max_residual": residual_repr(field, worst), "damping": float(alpha),
+            log.append({"call": call, "step": it, "max_residual": residual_repr(field, worst), "damping": float(alpha),
                         "precision": field.precision, "jacobian_precision": prec, **extra, **(context or {})})
 
     def run(rts, swept):
         res, worst, jac = swept or system.sweep(rts, jacobian=machine is None)
-        prec = None  # no step, no Jacobian precision
+        prec, call = None, len(log or ())  # no step, no Jacobian precision; the run's first record
         for it in range(iterations + 1):
             converged = worst <= tol
             if converged and (not polish or worst <= floor) or it == iterations:
@@ -447,10 +448,10 @@ def _newton(system: _System, init: BetheRoots, tol, iterations: int, log: list |
                     break
                 raise NoConvergence(f"no damping step reduced the residual (residual {worst})")
             rts, res, worst, jac, alpha, prec = taken
-            record(it, worst, alpha, prec)
+            record(call, it, worst, alpha, prec)
         if worst > tol:
             raise NoConvergence(f"residual {worst} after {iterations} iterations")
-        record(it, worst, 1, prec, converged=True)
+        record(call, it, worst, 1, prec, converged=True)
         return rts, (res, worst, jac)
 
     if init.total() == 0:

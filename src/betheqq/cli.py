@@ -21,6 +21,7 @@ from .errors import (
     BadPartition,
     BetheqqError,
     ChainBroken,
+    FactorizationFailed,
     InconsistentSystem,
     InvalidCartanType,
     NoConvergence,
@@ -246,7 +247,7 @@ def _command(args) -> int:
 _FAILURES = (
     ((ParseError, BadPartition, InvalidCartanType), EXIT_INPUT, "input error"),
     ((NoConvergence, SingularJacobian, PathCollision), EXIT_SOLVER, "solver failed"),
-    ((InconsistentSystem, ChainBroken), EXIT_CHECK, "check failed"),
+    ((InconsistentSystem, ChainBroken, FactorizationFailed), EXIT_CHECK, "check failed"),
     (BetheqqError, EXIT_INPUT, "error"),
 )
 

@@ -298,10 +298,8 @@ def twist_matrix(field: Field, twist: Twist) -> RatMatrix:
 
 
 def _rf_is_zero(r: RationalFn) -> bool:
-    field = r.field
-    if r.num.is_zero:
-        return True
-    return field.is_zero(r.num.norm(), scale=max(r.den.norm(), field.abs(field.one)))
+    """||num|| <= the precision's tolerance times max(||den||, 1): a structural zero, blind to ``tau``."""
+    return r.num.is_zero or r.num.norm() <= r.field._tau_prec * max(r.den.norm(), r.field.one)
 
 
 def _bruhat_eliminate(m: RatMatrix) -> RatMatrix:

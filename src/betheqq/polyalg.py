@@ -252,14 +252,14 @@ def _mp_product(ctx: MPContext, a: Sequence, b: Sequence):
 
 
 def chop(p: Poly) -> Poly:
-    """Trim trailing coefficients at most ``tau`` times the norm (numeric backend
-    only), with a warning when one is nonzero.  The package chops only a completed
-    q-_i with xi_i = 0, the one place where a computed degree can fall."""
+    """Trim trailing coefficients at most the precision's tolerance times the norm
+    (numeric backend only; ``tau`` does not enter), with a warning when one is nonzero.
+    The package chops only a completed q-_i with xi_i = 0, where a degree can fall."""
     field = p.field
     if isinstance(field, ExactField) or p.is_zero:
         return p
     ref, cs = p.norm(), list(p.coeffs)
-    while cs and field.is_zero(cs[-1], scale=ref):
+    while cs and abs(cs[-1]) <= field._tau_prec * ref:
         cs.pop()
     if any(p.coeffs[len(cs):]):
         import logging
@@ -532,15 +532,15 @@ def log_deriv(p: Poly) -> RationalFn:
 
 
 def _factor(field: Field, rows: list[list]):
-    """Gauss-Jordan elimination of ``rows``, scalars of ``field``, under the
-    pivot policy of :func:`solve_linear_system`: ``(reduced, pivots, steps)``,
+    """Gauss-Jordan elimination of ``rows``, scalars of ``field``, under the pivot
+    policy of :func:`solve_linear_system`, blind to ``tau``: ``(reduced, pivots, steps)``,
     the reduced rows (a copy), the pivot columns in increasing order, row k
     holding the pivot of column ``pivots[k]`` (a column with no admissible
     pivot is skipped), and per pivot the row swapped in and the row factors."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(row) for row in rows]
-    pivot_tol = field.tau * field.max_abs([v for row in rows for v in row if v])
+    pivot_tol = field._tau_prec * field.max_abs([v for row in rows for v in row if v])
     # x - f*0 is x up to the sign of a float zero, so zero entries of the
     # pivot row are skipped
     piv_cols, steps = [], []
@@ -582,8 +582,9 @@ def solve_linear_system(field: Field, rows: list[list], rhs: list):
 
     The package's one elimination, :func:`_factor` then :func:`_solve`, as
     Newton's directions run it: a pivot is the largest entry of its column
-    and must exceed ``tau * ||rows||`` (relative, at any scale of the
-    matrix) on the numeric backend, or be nonzero on the exact one.
+    and must exceed the precision's tolerance times ||rows|| (relative, at any
+    scale of the matrix; ``tau`` does not enter) on the numeric backend, or be
+    nonzero on the exact one.
 
     Returns ``(solution, defect)`` where ``solution`` sets free variables to
     zero and ``defect`` is the max residual magnitude of the eliminated

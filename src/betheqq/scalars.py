@@ -92,7 +92,7 @@ class ExactField(_Magnitudes):
     precision = None  # unbounded
 
     def __init__(self) -> None:
-        self.tau = Fraction(0)
+        self.tau = self._tau_prec = Fraction(0)
         self.tau_root = Fraction(0)
         self.zero = Fraction(0)
         self.one = Fraction(1)
@@ -125,10 +125,12 @@ class ExactField(_Magnitudes):
 class NumericField(_Magnitudes):
     """Complex arithmetic at ``precision`` bits on a private mpmath context.
 
-    ``tau`` is the relative comparison tolerance, ``tau_root`` the minimum
-    distance below which two roots count as colliding.  Defaults keep the
-    ratios tau = 2^(-5P/8) and tau_root = 2^(-5P/16) of the reference
-    precision P = 256.
+    ``tau`` is the relative tolerance that judges residuals and checks,
+    ``tau_root`` the minimum distance below which two roots count as
+    colliding.  Defaults keep the ratios tau = 2^(-5P/8) and tau_root =
+    2^(-5P/16) of the reference precision P = 256.  Structure (elimination
+    pivots, the Bruhat step's zero tests, the degree ``chop`` leaves) reads
+    the precision's tolerance ``_tau_prec``, the default tau, whatever tau is.
     """
 
     backend = "numeric"
@@ -144,7 +146,8 @@ class NumericField(_Magnitudes):
         """Attach ``ctx`` and derive the default tolerances from its precision."""
         self.ctx = ctx
         self.precision = precision = ctx.prec
-        self.tau = ctx.mpf(tau) if tau is not None else ctx.mpf(2) ** -((5 * precision) // 8)
+        self._tau_prec = ctx.mpf(2) ** -((5 * precision) // 8)  # decides structure; tau judges values
+        self.tau = ctx.mpf(tau) if tau is not None else self._tau_prec
         self.tau_root = (
             ctx.mpf(tau_root) if tau_root is not None else ctx.mpf(2) ** -((5 * precision) // 16)
         )

@@ -321,13 +321,20 @@ class TestNewton:
         assert track[-1]["s"] == 1 and all(0 <= r["s"] <= 1 and r["h"] >= 0 and r["k"] > 0 for r in track)
         precisions = [r["precision"] for r in refine]
         assert set(precisions) == {53, 256} and precisions == sorted(precisions)
-        # the records of one Newton call share phase, s, h, k and precision:
-        # a call that took steps logs them at 53 bits; one that took none,
-        # such as the 256-bit refinement of this real root, logs no precision
-        for _, call in groupby(log, key=lambda r: [r.get(k) for k in ("phase", "s", "h", "k", "precision")]):
-            call = list(call)
+        # the records of one Newton call share its "call", the log index of
+        # its first record, and its phase, s, h, k and precision: a call that
+        # took steps logs them at 53 bits; one that took none, such as the
+        # 256-bit refinement of this real root, logs no precision
+        calls = [list(call) for _, call in groupby(log, key=lambda r: r["call"])]
+        assert [call[0]["call"] for call in calls] == [log.index(call[0]) for call in calls]
+        # the correction at s = 1, h = 1 fails after its three steps and
+        # writes no converged record; the next call starts a new group
+        closed = [any(r.get("converged") for r in call) for call in calls]
+        assert closed == [True, False, True, True, True, True] and len(calls[1]) == 3
+        for call in calls:
+            context = {tuple(r.get(k) for k in ("phase", "s", "h", "k", "precision")) for r in call}
             stepped = any(not r.get("converged") for r in call)
-            assert all(r["jacobian_precision"] == (53 if stepped else None) for r in call)
+            assert len(context) == 1 and all(r["jacobian_precision"] == (53 if stepped else None) for r in call)
         assert refine[-1]["jacobian_precision"] is None and refine[-2]["jacobian_precision"] == 53
 
     @staticmethod

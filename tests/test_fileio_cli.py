@@ -169,56 +169,72 @@ class TestCliVerify:
         assert "c1.instance.json" in line and line.count("input error") == 1
 
 
-#: --tol values of the grid: the field's default tau, then up to 0.9
-GRID_TOLS = (None, "1e-3", "0.1", "0.5", "0.9")
+#: --tol values of the grid per precision: the field's default tau, one
+#: below it, then up to 0.9
+GRID_TOLS = {precision: (None, tight, "1e-3", "0.1", "0.5", "0.9")
+             for precision, tight in ((53, "1e-12"), (256, "1e-50"), (512, "1e-100"))}
 
 
 class TestCliVerifyToleranceGrid:
-    """``verify`` over the documented tau range (0, 1): a residual is a value
-    judged by tau, a pole a distance judged by tau_root, and no root check
-    loses a root to a loose tau."""
+    """Every command over the documented tau range (0, 1): a residual is a
+    value judged by tau, a pole a distance judged by tau_root, structure
+    (pivots, zero tests, degrees) is decided by the precision alone, and no
+    root check loses a root to a loose tau."""
 
     @staticmethod
     def _files(tmp_path, q_minus_shift=0):
-        # each exact fixture, its q-_i moved by q_minus_shift ||q-_i|| in the constant term
+        # each exact fixture, its q-_i moved by q_minus_shift ||q-_i|| in the
+        # constant term, with its roots and the argv of each command it admits
         out = []
         for k, (inst, roots, sol) in enumerate(exact_solved_fixtures()):
             q_minus = [p + bq.Poly.const(F, q_minus_shift * p.norm()) for p in sol.q_minus]
             moved = bq.QQSolution.make(sol.q_plus, q_minus)
-            out.append((_write(tmp_path, f"f{k}.instance.json", fileio.instance_to_doc(inst)),
-                        _write(tmp_path, f"f{k}.solution.json", fileio.solution_to_doc(F, moved)),
-                        roots.degrees()))
+            ipath = _write(tmp_path, f"f{k}.instance.json", fileio.instance_to_doc(inst))
+            spath = _write(tmp_path, f"f{k}.solution.json", fileio.solution_to_doc(F, moved))
+            rpath = _write(tmp_path, f"f{k}.roots.json", fileio.roots_to_doc(F, roots))
+            word = ",".join(map(str, bq.w0_reduced_word(inst.ctype).letters))
+            commands = [["verify", ipath, spath], ["solve", ipath, rpath], ["chain", ipath, spath, "--word", word]]
+            commands.append(["diagonalize", ipath, spath, "--word", word] if inst.ctype.family == "A"
+                            else ["fold", ipath, spath])
+            out.append((commands, roots.degrees()))
         return out
 
     @staticmethod
-    def _verify(ipath, spath, precision, tol):
-        argv = ["verify", ipath, spath, "--backend", "numeric", "--precision", str(precision)]
-        return main(argv + ([] if tol is None else ["--tol", tol]))
+    def _run(argv, precision, tol):
+        argv = argv + ["--backend", "numeric", "--precision", str(precision)]
+        try:
+            return main(argv + ([] if tol is None else ["--tol", tol]))
+        except Exception as exc:  # a traceback is a failure too
+            return repr(exc)
 
     @pytest.mark.parametrize("precision", [53, 256, 512])
     def test_true_solutions_pass_at_every_tol(self, precision, tmp_path, capsys, monkeypatch):
-        # every root check reads the exact fixture's root counts (before, chop
-        # trimmed the monic G2 q+ = z + 14/5 to a constant at tau 0.5)
+        # verify and solve read the exact fixture's root counts in their root
+        # checks (before, chop trimmed the monic G2 q+ = z + 14/5 to a
+        # constant at tau 0.5); chain, diagonalize and fold read none
         import betheqq.cli
 
         seen, real = [], betheqq.cli.verify_bethe
         monkeypatch.setattr(betheqq.cli, "verify_bethe", lambda inst, rts: seen.append(rts.degrees()) or real(inst, rts))
         failed = []
-        for ipath, spath, degrees in self._files(tmp_path):
-            for tol in GRID_TOLS:
-                seen.clear()
-                code = self._verify(ipath, spath, precision, tol)
-                report = json.loads(capsys.readouterr().out)
-                if code != 0 or seen != [degrees]:
-                    failed.append((ipath, tol, code, seen, [c["name"] for c in report["checks"] if not c["pass"]]))
+        for commands, degrees in self._files(tmp_path):
+            for argv in commands:
+                reads_roots = [degrees] * (argv[0] in ("verify", "solve"))
+                for tol in GRID_TOLS[precision]:
+                    seen.clear()
+                    code = self._run(argv, precision, tol)
+                    report = json.loads(capsys.readouterr().out or "{}")
+                    if code != 0 or report.get("pass") is not True or seen != reads_roots:
+                        failing = [c["name"] for c in report.get("checks", []) if not c["pass"]]
+                        failed.append((argv[:2], tol, code, seen, failing))
         assert failed == []
 
     @pytest.mark.parametrize("precision", [53, 256, 512])
     def test_perturbed_q_minus_fails_at_tight_tol(self, precision, tmp_path, capsys):
         # the negative control: q-_i moved by 1e-2 of its norm fails every tau <= 1e-3
-        for ipath, spath, _ in self._files(tmp_path, Q(1, 100)):
+        for (verify, *_), _ in self._files(tmp_path, Q(1, 100)):
             for tol in (None, "1e-3"):
-                assert self._verify(ipath, spath, precision, tol) == 1, (ipath, tol)
+                assert self._run(verify, precision, tol) == 1, (verify, tol)
                 failing = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
                 assert any(name.startswith("qq_residual_") for name in failing)
 
@@ -433,6 +449,22 @@ class TestCliChainFoldDiag:
         capsys.readouterr()
         mdoc = json.loads(mout.read_text())
         assert len(mdoc["entries"]) == 3
+
+    def test_factorization_failure_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # a gauge outside the open Bruhat cell exits 1 with one stderr line,
+        # as a failed Backlund step does, not 2 as if the input were malformed
+        import betheqq.cli
+
+        def outside(*args):
+            raise bq.FactorizationFailed("matrix is not in the open Bruhat cell")
+
+        monkeypatch.setattr(betheqq.cli, "diagonalize_type_a", outside)
+        inst, _, sol = a2_rational()
+        ipath = _write(tmp_path, "a2.json", fileio.instance_to_doc(inst))
+        spath = _write(tmp_path, "a2sol.json", fileio.solution_to_doc(F, sol))
+        assert main(["diagonalize", ipath, spath, "--word", "1,2,1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["check failed: matrix is not in the open Bruhat cell"]
 
     def test_numeric_reports_as_before(self, tmp_path, capsys):
         # four numeric A2 files along both words, wall time dropped: the

@@ -1,5 +1,6 @@
 """Connections, rank-2 restrictions, regularity, type-A matrix computations."""
 
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -469,6 +470,18 @@ class TestDiagonalize:
         monkeypatch.setattr(betheqq.backlund, "_complete_color", boom)
         with pytest.raises(bq.ChainBroken):
             bq.diagonalize_type_a(inst, sol, bq.WeylWord.make([1, 2, 1], 2))
+
+    def test_numeric_a2_as_before(self):
+        # the bits behind the benchmark's accuracy reading: v and the
+        # conjugation residual of a 256-bit A2 diagonalization at the default
+        # tau (digest of the type name and mpf or (re, im) tuple of each
+        # coefficient, taken before structure read the precision's tolerance)
+        inst, _, sol = a2_rational(bq.NumericField(256))
+        out = bq.diagonalize_type_a(inst, sol, bq.WeylWord.make([1, 2, 1], 2))
+        digest = hashlib.sha256()
+        for c in [c for row in out.v.entries for e in row for p in (e.num, e.den) for c in p.coeffs] + [out.residual]:
+            digest.update(repr((type(c).__name__, getattr(c, "_mpc_", None) or c._mpf_)).encode())
+        assert digest.hexdigest()[:16] == "07c5f08800802ad7"
 
     def test_numeric_backend_sample_points(self):
         # v(x) Z v(x)^-1 - v'(x) v(x)^-1 == A(x) at 16 random points off the poles

@@ -1,4 +1,5 @@
-"""Magnitude comparisons of the scalar backends."""
+"""Magnitude comparisons of the scalar backends, and the tolerance that
+decides structure."""
 
 import random
 from fractions import Fraction as Q
@@ -6,6 +7,8 @@ from fractions import Fraction as Q
 import pytest
 
 import betheqq as bq
+from betheqq import fileio
+from fixhelp import exact_solved_fixtures
 
 
 def magnitude_cases(field):
@@ -130,6 +133,38 @@ def test_zero_is_relative_to_scale():
     assert field.is_zero(two ** -161) and not field.is_zero(two ** -159)
     assert field.is_zero(two ** -361, scale=two ** -200) and not field.is_zero(two ** -300, scale=two ** -200)
     assert field.is_zero(two ** 39, scale=two ** 200) and not field.is_zero(two ** 41, scale=two ** 200)
+
+
+def structural_outputs(inst, roots, sol, tau):
+    """Numeric counterparts at 256 bits, at ``tau`` (None: the default), of
+    the exact fixture's completed q-, its chain along w0 (q+, q-, mu and the
+    generic flags of each step) and, on type A, v of its diagonalization:
+    the flags, and each coefficient as its type name and mpf or (re, im) tuple."""
+    doc = {**fileio.instance_to_doc(inst), "backend": "numeric", "precision_bits": 256}
+    num = fileio.instance_from_doc({**doc, "tolerances": {"tau": tau}} if tau else doc)
+    sol = fileio.solution_from_doc(num.field, fileio.solution_to_doc(inst.field, sol))
+    word = bq.w0_reduced_word(inst.ctype)
+    polys = list(bq.roots_to_solution(num, bq.BetheRoots.make(num.field, roots.roots)).q_minus)
+    trace = bq.chain(num, sol, word)
+    for step in trace.steps:
+        polys += [*step.solution.q_plus, *step.solution.q_minus, step.mu.num, step.mu.den]
+    if inst.ctype.family == "A":
+        polys += [p for row in bq.diagonalize_type_a(num, sol, word).v.entries for e in row for p in (e.num, e.den)]
+    coeffs = [repr((type(c).__name__, getattr(c, "_mpc_", None) or c._mpf_)) for p in polys for c in p.coeffs]
+    return [step.generic for step in trace.steps], coeffs
+
+
+@pytest.mark.parametrize("tau", ["1e-3", "0.5"])
+def test_structure_ignores_tau(tau):
+    # pivots, the Bruhat step's zero tests and the fallen degree of a
+    # xi_i = 0 completion read the precision's tolerance, so a loose tau
+    # changes no bit of them (before, it refused some of these true
+    # solutions); the last case, xi = 0 and Lambda = z - 10, completes
+    # q- = z^2/2 - 10 z, whose leading coefficient is 1/20 of its norm
+    xi_zero = bq.QQInstance.make(bq.CartanType("A", 1), bq.ExactField(), [(10, (1,))], [0])
+    no_roots = bq.BetheRoots.make(xi_zero.field, [[]])
+    for inst, roots, sol in exact_solved_fixtures() + [(xi_zero, no_roots, bq.roots_to_solution(xi_zero, no_roots))]:
+        assert structural_outputs(inst, roots, sol, tau) == structural_outputs(inst, roots, sol, None)
 
 
 @pytest.mark.parametrize("tols", [{"tau": 0}, {"tau": "-1"}, {"tau_root": "-1e-10"}, {"tau_root": "nan"},
